@@ -304,11 +304,12 @@ class QuatDivSpec:
         return quat_spec(self.field, self.a, self.b)
 
     def apply(self, x: EElement) -> EElement:
+        # Int(i) fixes 1 and i and negates j and k: iji^-1 = -j, iki^-1 = -k
         g = x.conj()
         if self.inv is Involution.GAMMA:
             return g
-        i = self.espec().basis()[1]
-        return (i * g) * i.inverse()
+        c0, c1, c2, c3 = g.coords
+        return EElement(g.spec, (c0, c1, -c2, -c3))
 
 
 AlgebraSpec = HermContext | QuatDivSpec
@@ -388,38 +389,18 @@ def diag_congruence(G: Sequence[Sequence[RatFunc]]) -> CongruenceResult:
 
 
 def trace_form(spec: AlgebraSpec) -> DiagForm:
-    """Diagonalization of the trace form (x, y) -> Trd(sigma(x) y) over F."""
+    """The trace form (x, y) -> Trd(sigma(x) y) over F, on an orthogonal basis.
+
+    Both presentations have an orthogonal standard F-basis, so the form is
+    diagonal in closed form.  On M_n(E) the basis element q E_ij pairs only
+    with itself, to e_i/e_j trd(conj(q) q); the entries run over q, then i,
+    then j.  On (a,b)_F the basis 1, i, j, k gives trd(sigma(q) q).
+    """
     if isinstance(spec, QuatDivSpec):
-        basis = spec.espec().basis()
-        gram = [
-            [(spec.apply(u) * v).trd() for v in basis] for u in basis
-        ]
-    else:
-        basis = _matrix_basis(spec)
-        gram = [[_matrix_trace_pairing(spec, u, v) for v in basis] for u in basis]
-    entries = diag_congruence(gram).entries
-    if any(f.is_zero for f in entries):
-        raise ValueError("trace form is degenerate")
-    return DiagForm(entries)
-
-
-def _matrix_basis(ctx: HermContext):
-    """Standard F-basis q * E_ij of M_n(E), as (q, i, j) triples."""
-    return [
-        (q, i, j)
-        for q in ctx.espec.basis()
-        for i in range(ctx.n)
-        for j in range(ctx.n)
-    ]
-
-
-def _matrix_trace_pairing(ctx: HermContext, u, v) -> RatFunc:
-    # Trd(sigma(q E_ij) q' E_kl) = [i=k][j=l] * e_i/e_j * trd(conj(q) q')
-    q, i, j = u
-    p, k, l = v
-    if i != k or j != l:
-        return ctx.field.zero
-    return (ctx.e[i] / ctx.e[j]) * (q.conj() * p).trd()
+        return DiagForm(tuple((spec.apply(q) * q).trd() for q in spec.espec().basis()))
+    norms = [(q.conj() * q).trd() for q in spec.espec.basis()]
+    ratios = [ei / ej for ei in spec.e for ej in spec.e]
+    return DiagForm(tuple(r * t for t in norms for r in ratios))
 
 
 def same_square_class_form(d1: DiagForm, d2: DiagForm, P: OrderingSpec) -> bool:

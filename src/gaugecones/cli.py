@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Any
 
 from .field import FieldError, FunctionField, GammaVal, OrderingSpec, enumerate_orderings
@@ -75,8 +74,12 @@ def parse_config(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be an object", "$")
     varnames = doc.get("vars", [])
-    if not isinstance(varnames, list) or not all(isinstance(v, str) for v in varnames):
-        raise ConfigError("vars must be a list of names", "vars")
+    if not isinstance(varnames, list) or not all(
+        isinstance(v, str) and v.isascii() and v.isidentifier() for v in varnames
+    ):
+        raise ConfigError("vars must be a list of identifiers", "vars")
+    if len(set(varnames)) != len(varnames):
+        raise ConfigError("duplicate variable names", "vars")
     F = FunctionField(varnames)
 
     alg = doc.get("algebra")
@@ -90,16 +93,19 @@ def parse_config(doc: dict) -> dict:
             if kind not in spec_of:
                 raise ConfigError(f"unknown coefficient kind {kind!r}", "algebra.kind")
             form = alg.get("form")
-            if not isinstance(form, list) or not form:
+            if not isinstance(form, list) or not form or not all(isinstance(f, str) for f in form):
                 raise ConfigError("form must be a nonempty list of expressions", "algebra.form")
             entries = tuple(F.parse(src) for src in form)
             algebra = HermContext(spec_of[kind](F), entries)
         elif variant == "quatdiv":
             inv = {"gamma": Involution.GAMMA, "int_i_gamma": Involution.INT_I_GAMMA}.get(
-                alg.get("involution", "gamma")
+                str(alg.get("involution", "gamma"))
             )
             if inv is None:
                 raise ConfigError("involution must be gamma or int_i_gamma", "algebra.involution")
+            for key in ("a", "b"):
+                if not isinstance(alg.get(key), str):
+                    raise ConfigError(f"{key} must be an expression", f"algebra.{key}")
             algebra = QuatDivSpec(F.parse(alg["a"]), F.parse(alg["b"]), inv)
         else:
             raise ConfigError("variant must be matrix or quatdiv", "algebra.variant")
@@ -120,6 +126,8 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("ordering must be ALL or a sign vector of length |vars|", "ordering")
 
     analyses = doc.get("analyses", [])
+    if not isinstance(analyses, list):
+        raise ConfigError("analyses must be a list of names", "analyses")
     for a in analyses:
         if a not in ANALYSES:
             raise ConfigError(f"unknown analysis {a!r}", "analyses")
@@ -129,9 +137,16 @@ def parse_config(doc: dict) -> dict:
         "algebra": algebra,
         "orderings": orderings,
         "analyses": list(analyses),
-        "seed": int(doc.get("seed", 0)),
-        "samples": int(doc.get("sampleCount", 50)),
+        "seed": _int_entry(doc, "seed", 0),
+        "samples": _int_entry(doc, "sampleCount", 50),
     }
+
+
+def _int_entry(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer", key)
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -459,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("config", nargs="?", help="path to a JSON configuration")
     runp.add_argument("--scenario", choices=sorted(SCENARIOS), help="built-in scenario")
     runp.add_argument("--format", choices=("json", "text"), default="json")
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--samples", type=int, default=50)
+    runp.add_argument("--seed", type=int, help="overrides the config's seed (default 0)")
+    runp.add_argument("--samples", type=int,
+                      help="overrides the config's sampleCount (default 50)")
     return parser
 
 
@@ -471,11 +487,15 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.scenario:
-            report = SCENARIOS[args.scenario](args.seed, args.samples)
+            report = SCENARIOS[args.scenario](
+                0 if args.seed is None else args.seed,
+                50 if args.samples is None else args.samples,
+            )
         elif args.config:
             cfg = load_config(args.config)
-            cfg["seed"] = args.seed if args.seed else cfg["seed"]
-            if args.samples != 50:
+            if args.seed is not None:
+                cfg["seed"] = args.seed
+            if args.samples is not None:
                 cfg["samples"] = args.samples
             report = run(cfg)
         else:

@@ -371,9 +371,13 @@ AlgebraLike = HermContext | QuatDivSpec
 
 def lift_exists(spec: AlgebraLike, P: OrderingSpec) -> bool:
     """Whether the residue cone lifts over P: the trace form of the algebra
-    with involution is definite at P."""
-    signs = {f.sign_at(P) for f in trace_form(spec).entries}
-    return len(signs) == 1 and 0 not in signs
+    with involution is definite at P.
+
+    On (M_n(E), ad_h) the trace form is <positive constants> (x) h (x) h^-1,
+    definite at P iff the entries e_i of h share a sign there.
+    """
+    entries = spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
+    return len({f.sign_at(P) for f in entries}) == 1
 
 
 @dataclass
@@ -400,7 +404,7 @@ def lift_set(spec: AlgebraLike) -> LiftReport:
     in the Harrison set of the epsilon_l rho_l or of their negatives.
     """
     tf = trace_form(spec)
-    F = tf.entries[0].field
+    F = spec.field
     orderings = tuple(enumerate_orderings(F.r))
     liftable = tuple(P for P in orderings if lift_exists(spec, P))
 
@@ -448,18 +452,15 @@ class WadthResult:
 def wadth_check(spec: AlgebraLike) -> WadthResult:
     """Every ordering lifts iff the gauge value set is the base value group,
     in which case the number of liftings is the full count of orderings."""
-    report = lift_set(spec)
+    orderings = enumerate_orderings(spec.field.r)
+    lift_count = sum(lift_exists(spec, P) for P in orderings)
     if isinstance(spec, HermContext):
         index_one = form_coset_index(spec) == 1
     else:
         va, vb = spec.a.val(), spec.b.val()
         zero = GammaVal.zero(spec.field.r)
         index_one = va.mod_group(2) == zero and vb.mod_group(2) == zero
-    return WadthResult(
-        len(report.liftable) == len(report.base_orderings),
-        index_one,
-        len(report.liftable),
-    )
+    return WadthResult(lift_count == len(orderings), index_one, lift_count)
 
 
 @dataclass

@@ -405,18 +405,6 @@ class RatFunc:
         return str(self._f)
 
 
-def val(f: RatFunc) -> GammaVal:
-    return f.val()
-
-
-def sign_at(f: RatFunc, P: OrderingSpec) -> int:
-    return f.sign_at(P)
-
-
-def residue(f: RatFunc) -> Fraction:
-    return f.residue()
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials over the field
 # ---------------------------------------------------------------------------
@@ -555,7 +543,7 @@ def newton_root_valuations(p: PolyX) -> list[GammaVal]:
 # Expression parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
 
 class _Parser:
@@ -563,8 +551,10 @@ class _Parser:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' posint)?
+    factor := base (('^'|'**') posint)?
     base   := int | var | '(' expr ')'
+
+    '**' is read as '^', so the str() of an element parses back to it.
     """
 
     def __init__(self, field: FunctionField, src: str):
@@ -585,7 +575,8 @@ class _Parser:
             elif m.group(2) is not None:
                 self.tokens.append(("name", m.group(2), m.start(2)))
             else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
+                op = "^" if m.group(3) == "**" else m.group(3)
+                self.tokens.append(("op", op, m.start(3)))
             pos = m.end()
         self.i = 0
 

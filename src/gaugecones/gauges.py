@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .field import (
     FieldError,
     FunctionField,
     GammaVal,
     OrderingSpec,
-    RatFunc,
     newton_root_valuations,
 )
 from .algebra import EElement, EKind, ESpec, HermContext, v_E

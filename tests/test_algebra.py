@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gaugecones.field import (
     FunctionField,
@@ -30,6 +31,7 @@ from gaugecones.algebra import (
     trace_form,
     v_E,
 )
+from gaugecones.matrices import MatE
 
 from test_field import random_element, random_ratfunc
 
@@ -211,6 +213,112 @@ class TestTraceForm:
         expected = DiagForm((F2.one, 1 / x, x, F2.one))
         for P in enumerate_orderings(2):
             assert same_square_class_form(tf, expected, P)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace form: the Gram matrix of Trd(sigma(x) y) on the standard
+# basis, built from the definition and diagonalized by congruence
+# ---------------------------------------------------------------------------
+
+FIELDS = [FunctionField(["x", "y", "z"][:r]) for r in (1, 2, 3)]
+SPECS = {"base": base_spec, "complex": complex_spec, "hamilton": hamilton_spec}
+
+
+def _adjoint(ctx, a):
+    """sigma(a) = e^-1 conj(a)^t e for h = <e_1..e_n>; zero entries stay zero."""
+    n, e = ctx.n, ctx.e
+
+    def entry(i, j):
+        x = a.rows[j][i]
+        return x if x.is_zero else x.conj().scale(e[j] / e[i])
+
+    return MatE(ctx.espec, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def _trd_of_product(a, b):
+    """Trd(a b), skipping the zero products of sparse matrices."""
+    n = a.n
+    acc = a.spec.field.zero
+    for i in range(n):
+        for k in range(n):
+            if not a.rows[i][k].is_zero and not b.rows[k][i].is_zero:
+                acc = acc + (a.rows[i][k] * b.rows[k][i]).trd()
+    return acc
+
+
+def reference_trace_form(spec):
+    """Diagonal entries of the full Gram matrix, diagonalized by congruence."""
+    if isinstance(spec, QuatDivSpec):
+        basis = spec.espec().basis()
+        i = basis[1]
+
+        def sigma(u):
+            g = u.conj()
+            return g if spec.inv is Involution.GAMMA else i * g * i.inverse()
+
+        gram = [[(sigma(u) * v).trd() for v in basis] for u in basis]
+    else:
+        n, E = spec.n, spec.espec
+        basis = []
+        for q in E.basis():
+            for i in range(n):
+                for j in range(n):
+                    rows = [[E.zero()] * n for _ in range(n)]
+                    rows[i][j] = q
+                    basis.append(MatE(E, rows))
+        adjoints = [_adjoint(spec, u) for u in basis]
+        gram = [[_trd_of_product(a, v) for v in basis] for a in adjoints]
+    return diag_congruence(gram).entries
+
+
+@st.composite
+def field_elements(draw, F, rational=False):
+    """A monomial with a fractional coefficient; with rational, a quotient
+    of sums of such monomials that is not itself a monomial."""
+
+    def monomial():
+        exps = draw(st.lists(st.integers(-2, 2), min_size=F.r, max_size=F.r))
+        num = draw(st.integers(-3, 3).filter(bool))
+        return F.monomial(exps, Fraction(num, draw(st.integers(1, 3))))
+
+    if not rational:
+        return monomial()
+    num = monomial() + monomial() + monomial()
+    den = monomial() + monomial()
+    assume(not num.is_zero and not den.is_zero)
+    f = num / den
+    assume(f != F.monomial(*f.leading_term()))
+    return f
+
+
+@st.composite
+def hermitian_contexts(draw):
+    """(M_n(E), ad_h) with n <= 3 over one to three variables; one entry of
+    h is a quotient of polynomials, not a monomial."""
+    F = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(sorted(SPECS)))
+    e = draw(st.lists(field_elements(F), min_size=0, max_size=2))
+    e.insert(draw(st.integers(0, len(e))), draw(field_elements(F, rational=True)))
+    return HermContext(SPECS[kind](F), tuple(e))
+
+
+@st.composite
+def quaternion_specs(draw):
+    F = draw(st.sampled_from(FIELDS))
+    a, b = (draw(field_elements(F, rational=draw(st.booleans()))) for _ in "ab")
+    return QuatDivSpec(a, b, draw(st.sampled_from(list(Involution))))
+
+
+class TestTraceFormOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(ctx=hermitian_contexts())
+    def test_matrix_closed_form(self, ctx):
+        assert trace_form(ctx).entries == reference_trace_form(ctx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=quaternion_specs())
+    def test_quaternion_closed_form(self, spec):
+        assert trace_form(spec).entries == reference_trace_form(spec)
 
 
 class TestDiagCongruence:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gaugecones import cli
 from gaugecones.cli import (
     ConfigError,
     emit,
@@ -78,6 +79,33 @@ class TestConfig:
         assert cfg["seed"] == 7
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "patch, location, message",
+        [
+            ({"vars": ["x", "x"]}, "vars", "duplicate variable names"),
+            ({"vars": ["x y"]}, "vars", "list of identifiers"),
+            ({"algebra": {"variant": "quatdiv", "a": 1, "b": "y"}}, "algebra.a",
+             "a must be an expression"),
+            ({"algebra": {"variant": "quatdiv", "a": "x", "b": "y", "involution": ["gamma"]}},
+             "algebra.involution", "gamma or int_i_gamma"),
+            ({"algebra": {"variant": "matrix", "form": ["1", 2]}}, "algebra.form",
+             "list of expressions"),
+            ({"seed": "abc"}, "seed", "must be an integer"),
+            ({"sampleCount": 2.5}, "sampleCount", "must be an integer"),
+            ({"analyses": "gauge"}, "analyses", "must be a list"),
+        ],
+        ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
+             "form-entry-int", "seed-string", "sampleCount-float", "analyses-string"],
+    )
+    def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
+        path = write_config(tmp_path, dict(BASE_DOC, **patch))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {location}: " in err
+        assert message in err
+
+
 class TestRun:
     def test_empty_analyses(self):
         cfg = parse_config(dict(BASE_DOC, analyses=[]))
@@ -140,6 +168,16 @@ class TestMain:
         assert main(["run", path, "--seed", "5", "--samples", "8"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["seed"] == 5
+
+    def test_flags_override_config(self, tmp_path, monkeypatch, capsys):
+        # the config sets seed 7 and sampleCount 10; flags at their
+        # defaults' values still override, absent flags do not
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or {"analyses": {}})
+        path = write_config(tmp_path, BASE_DOC)
+        assert main(["run", path, "--seed", "0", "--samples", "50"]) == 0
+        assert main(["run", path]) == 0
+        assert [(c["seed"], c["samples"]) for c in seen] == [(0, 50), (7, 10)]
 
     def test_missing_argument(self, capsys):
         assert main(["run"]) == 2

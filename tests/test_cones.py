@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugecones.field import FunctionField, GammaVal, OrderingSpec, enumerate_orderings
 from gaugecones.algebra import (
@@ -33,6 +34,8 @@ from gaugecones.cones import (
     sample_cone,
     wadth_check,
 )
+
+from test_algebra import hermitian_contexts, quaternion_specs, reference_trace_form
 
 
 @pytest.fixture
@@ -228,6 +231,16 @@ class TestLifting:
                 )
                 report = lift_set(HermContext(base_spec(F), entries))
                 assert report.harrison_matches
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=st.one_of(hermitian_contexts(), quaternion_specs()))
+    def test_lift_exists_matches_reference_definiteness(self, spec):
+        entries = reference_trace_form(spec)
+        orderings = enumerate_orderings(spec.field.r)
+        expected = [P for P in orderings if {f.sign_at(P) for f in entries} in ({1}, {-1})]
+        assert [P for P in orderings if lift_exists(spec, P)] == expected
+        assert lift_set(spec).liftable == tuple(expected)
+        assert wadth_check(spec).lift_count == len(expected)
 
     def test_wadth(self, F2):
         x, _ = F2.vars()

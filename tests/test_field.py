@@ -277,3 +277,12 @@ class TestParser:
         for _ in range(30):
             f = random_ratfunc(F2, rng)
             assert F2.parse(str(f).replace("**", "^")) == f
+
+    def test_round_trip_str(self, F2):
+        # str() writes powers as '**', which the parser reads as '^'
+        rng = random.Random(19)
+        x, y = F2.vars()
+        samples = [(x ** 2 + 3 * y) / (2 * x - y), -(x ** 3) * y ** 2 / 7]
+        samples += [random_ratfunc(F2, rng) for _ in range(30)]
+        for f in samples:
+            assert F2.parse(str(f)) == f
