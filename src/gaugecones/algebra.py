@@ -9,6 +9,7 @@ involution, and symmetric congruence diagonalization over F.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,14 +42,26 @@ class EKind(Enum):
     QUAT = "quat"
 
 
+_DIMS = {EKind.BASE: 1, EKind.COMPLEX: 2, EKind.QUAT: 4}
+
+
+# products[i][j] = (k, sign, c): e_i e_j = sign c e_k, with c None when the
+# structure constant is +-1 (sign alone then) and sign 1 otherwise
+Products = tuple[tuple[tuple[int, int, Optional[RatFunc]], ...], ...]
+
+
 @dataclass(frozen=True)
 class ESpec:
-    """One of the coefficient algebras: F, F(sqrt(-1)), or (a,b)_F."""
+    """One of the coefficient algebras: F, F(sqrt(-1)), or (a,b)_F.
+
+    products holds the structure constants of the standard basis, built once
+    with the spec and read by every product of its elements."""
 
     kind: EKind
     field: FunctionField
     a: Optional[RatFunc] = None
     b: Optional[RatFunc] = None
+    products: Products = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is EKind.QUAT:
@@ -56,10 +69,11 @@ class ESpec:
                 raise ValueError("quaternion parameters must be nonzero")
         elif self.a is not None or self.b is not None:
             raise ValueError("parameters only apply to quaternion algebras")
+        object.__setattr__(self, "products", _structure_constants(self))
 
     @property
     def dim(self) -> int:
-        return {EKind.BASE: 1, EKind.COMPLEX: 2, EKind.QUAT: 4}[self.kind]
+        return _DIMS[self.kind]
 
     def zero(self) -> "EElement":
         z = self.field.zero
@@ -87,6 +101,34 @@ class ESpec:
         """Quaternions with a = b = -1."""
         m1 = self.field.from_fraction(-1)
         return self.kind is EKind.QUAT and self.a == m1 and self.b == m1
+
+
+def _structure_constants(spec: ESpec) -> Products:
+    """The multiplication table of the standard basis, folded for sparse
+    products.  For (a,b)_F the basis is 1, i, j, k with ij = k, ji = -k,
+    i^2 = a, j^2 = b, so ik = aj, ki = -aj, jk = -bi, kj = bi, k^2 = -ab."""
+    one = spec.field.one
+    if spec.kind is EKind.BASE:
+        table = (((0, one),),)
+    elif spec.kind is EKind.COMPLEX:
+        table = (((0, one), (1, one)), ((1, one), (0, -one)))
+    else:
+        a, b = spec.a, spec.b
+        table = (
+            ((0, one), (1, one), (2, one), (3, one)),
+            ((1, one), (0, a), (3, one), (2, a)),
+            ((2, one), (3, -one), (0, b), (1, -b)),
+            ((3, one), (2, -a), (1, b), (0, -(a * b))),
+        )
+
+    def fold(k, c):
+        if c == one:
+            return (k, 1, None)
+        if c == -one:
+            return (k, -1, None)
+        return (k, 1, c)
+
+    return tuple(tuple(fold(k, c) for k, c in row) for row in table)
 
 
 def base_spec(field: FunctionField) -> ESpec:
@@ -119,7 +161,7 @@ class EElement:
         self.coords = coords
 
     def _check(self, other: "EElement"):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise SpecMismatch("elements of different coefficient algebras")
 
     def __add__(self, other: "EElement") -> "EElement":
@@ -134,26 +176,27 @@ class EElement:
         return EElement(self.spec, tuple(-a for a in self.coords))
 
     def __mul__(self, other: "EElement") -> "EElement":
+        """Product by the spec's structure constants, over the pairs of
+        non-zero coordinates only; a constant +-1 costs an addition or a
+        subtraction instead of a field product."""
         self._check(other)
-        k = self.spec.kind
-        if k is EKind.BASE:
-            return EElement(self.spec, (self.coords[0] * other.coords[0],))
-        if k is EKind.COMPLEX:
-            x0, x1 = self.coords
-            y0, y1 = other.coords
-            return EElement(self.spec, (x0 * y0 - x1 * y1, x0 * y1 + x1 * y0))
-        a, b = self.spec.a, self.spec.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        return EElement(
-            self.spec,
-            (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
-        )
+        table = self.spec.products
+        acc: list[Optional[RatFunc]] = [None] * len(table)
+        ys = [(j, y) for j, y in enumerate(other.coords) if not y.is_zero]
+        for i, x in enumerate(self.coords):
+            if x.is_zero:
+                continue
+            row = table[i]
+            for j, y in ys:
+                k, sign, c = row[j]
+                t = x * y if c is None else c * (x * y)
+                s = acc[k]
+                if s is None:
+                    acc[k] = t if sign > 0 else -t
+                else:
+                    acc[k] = s + t if sign > 0 else s - t
+        z = self.spec.field.zero
+        return EElement(self.spec, tuple(z if s is None else s for s in acc))
 
     def scale(self, f) -> "EElement":
         if isinstance(f, (int, Fraction)):

@@ -27,11 +27,10 @@ from .algebra import (
     complex_spec,
     hamilton_spec,
 )
-from .matrices import reduced_charpoly
+from .matrices import NonRealCoefficient, reduced_charpoly
 from .gauges import (
     GaugeContext,
     IndefiniteForm,
-    coset_index,
     form_coset_index,
     is_dubrovin,
     residue_decomposition,
@@ -191,11 +190,12 @@ def _analysis_gauge(cfg) -> dict:
         except IndefiniteForm:
             per[fmt_eta(P)] = {"valid": False}
             continue
+        cosets = value_coset_set(G)
         per[fmt_eta(P)] = {
             "valid": True,
             "normalizedSign": G.normalized_sign,
-            "cosetReps": sorted(fmt_gamma(v) for v in value_coset_set(G).reps),
-            "cosetIndex": coset_index(G),
+            "cosetReps": sorted(fmt_gamma(v) for v in cosets.reps),
+            "cosetIndex": len(cosets),
         }
     out["orderings"] = per
     return out
@@ -299,21 +299,24 @@ def _analysis_quatmat(cfg) -> dict:
     spec = hamilton_spec(F)
     ch_bad = 0
     comm_bad = 0
-    real_ok = True
+    nonreal = 0  # samples whose reduced charpolys left the base field
     tried = max(5, cfg["samples"] // 10)
     for _ in range(tried):
         n = rng.randint(1, 3)
         M = random_matrix(spec, n, rng)
         N = random_matrix(spec, n, rng)
-        if not cayley_hamilton_check(M):
-            ch_bad += 1
-        if reduced_charpoly(M * N) != reduced_charpoly(N * M):
-            comm_bad += 1
+        try:
+            if not cayley_hamilton_check(M):
+                ch_bad += 1
+            if reduced_charpoly(M * N) != reduced_charpoly(N * M):
+                comm_bad += 1
+        except NonRealCoefficient:
+            nonreal += 1
     return {
         "tried": tried,
         "cayleyHamiltonViolations": ch_bad,
         "productCharpolyViolations": comm_bad,
-        "coefficientsReal": real_ok,
+        "coefficientsReal": nonreal == 0,
     }
 
 
@@ -445,7 +448,7 @@ def report_has_violations(report) -> bool:
                 return True
             if k == "harrisonMatches" and v is False:
                 return True
-            if k == "consistent" and v is False:
+            if k in ("consistent", "coefficientsReal") and v is False:
                 return True
             if k.endswith("Violations") and v:
                 return True

@@ -331,7 +331,6 @@ class ResidueCone:
     def lift(self, blocks: Sequence[MatE]) -> MatE:
         """The monomial preimage of a residue element, undoing the gauge shift."""
         G = self.cone.gauge()
-        e = G.ctx.e
         dec = residue_decomposition(G)
         F = self.cone.field
         espec = self.cone.espec
@@ -339,8 +338,7 @@ class ResidueCone:
         for block, mat in zip(dec.blocks, blocks):
             for s, i in enumerate(block.indices):
                 for t, j in enumerate(block.indices):
-                    shift = (e[j].val() - e[i].val()).half()
-                    mono = F.monomial([int(c) for c in shift.coords])
+                    mono = G.shift_monomial(j, i)
                     coords = tuple(
                         F.from_fraction(c.as_fraction()) * mono
                         for c in mat.rows[s][t].coords

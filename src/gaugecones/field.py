@@ -7,11 +7,19 @@ is exact.  An element is a quotient of two coprime polynomials with integer
 coefficients (content included), the denominator's leading coefficient
 positive, so a constant such as 1/2 keeps its 2 in the denominator.  This
 form is canonical: equality of field elements is structural.
+
+Arithmetic decides without sympy what it can: a zero operand returns the
+other operand, its negation or zero; a product of two monomials (one-term
+numerator and denominator each) is built in closed form, exponents added
+and the coefficient reduced by its gcd; sums and products of
+polynomials skip the gcd.  Everything else goes through sympy's fraction
+field, which cancels by gcd.  Each path yields the same canonical form.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -207,18 +215,24 @@ class FunctionField:
         return self.monomial([0] * self.r, q)
 
     def monomial(self, exponents: Sequence[int], coeff=1) -> "RatFunc":
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        if not coeff:
             return self.zero
-        exps = [int(e) for e in exponents]
-        # a reduced Fraction over coprime monomials is already canonical
-        num = self._ring.from_terms(
-            [(tuple(max(e, 0) for e in exps), coeff.numerator)]
+        return self._monomial(
+            [int(e) for e in exponents], coeff.numerator, coeff.denominator
         )
-        den = self._ring.from_terms(
-            [(tuple(max(-e, 0) for e in exps), coeff.denominator)]
-        )
-        return RatFunc(self, self._field.raw_new(num, den))
+
+    def _monomial(self, exps: list[int], num: int, den: int) -> "RatFunc":
+        """num/den * x^exps for coprime integers num != 0 and den > 0.
+
+        The quotient of coprime monomials is already canonical, so no
+        cancellation is needed."""
+        term, zz = self._ring.dtype, self._ring.domain.dtype
+        return RatFunc(self, self._field.raw_new(
+            term({tuple([e if e > 0 else 0 for e in exps]): zz(num)}),
+            term({tuple([-e if e < 0 else 0 for e in exps]): zz(den)}),
+        ))
 
     def parse(self, src: str) -> "RatFunc":
         return _Parser(self, src).parse()
@@ -233,6 +247,11 @@ class FunctionField:
         return f"FunctionField({', '.join(self.varnames) or 'Q'})"
 
 
+def _is_one(poly) -> bool:
+    """Whether a sympy polynomial is the constant 1, without building ring.one."""
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
+
+
 def _lex_min_term(poly):
     """(exponent vector, coefficient) of the lex-minimal monomial of a nonzero poly."""
     return min(poly.terms(), key=lambda t: t[0])
@@ -241,7 +260,11 @@ def _lex_min_term(poly):
 class RatFunc:
     """Element of a FunctionField, stored in canonical reduced form: coprime
     numerator and denominator in Z[x_1,...,x_r], the denominator's leading
-    coefficient positive."""
+    coefficient positive.
+
+    Zero operands, monomial times monomial and unit-denominator sums and
+    products take fast paths (see the module docstring); the tests check
+    each against sympy's general fraction arithmetic."""
 
     __slots__ = ("field", "_f")
 
@@ -253,7 +276,7 @@ class RatFunc:
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("elements of different fields")
             return other._f
         if isinstance(other, (int, Fraction)):
@@ -265,10 +288,13 @@ class RatFunc:
         if o is NotImplemented:
             return NotImplemented
         f = self._f
-        one = f.field.ring.one
+        if not o:
+            return self
+        if not f:
+            return RatFunc(self.field, o)
         # polynomial fast path: no gcd cancellation needed when both denoms are 1
-        if f.denom == one and o.denom == one:
-            return RatFunc(self.field, f.field.raw_new(f.numer + o.numer, one))
+        if _is_one(f.denom) and _is_one(o.denom):
+            return RatFunc(self.field, f.raw_new(f.numer + o.numer, f.denom))
         return RatFunc(self.field, f + o)
 
     __radd__ = __add__
@@ -278,15 +304,22 @@ class RatFunc:
         if o is NotImplemented:
             return NotImplemented
         f = self._f
-        one = f.field.ring.one
-        if f.denom == one and o.denom == one:
-            return RatFunc(self.field, f.field.raw_new(f.numer - o.numer, one))
+        if not o:
+            return self
+        if not f:
+            return RatFunc(self.field, -o)
+        if _is_one(f.denom) and _is_one(o.denom):
+            return RatFunc(self.field, f.raw_new(f.numer - o.numer, f.denom))
         return RatFunc(self.field, f - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        if not self._f:
+            return RatFunc(self.field, o)
+        if not o:
+            return -self
         return RatFunc(self.field, o - self._f)
 
     def __mul__(self, other):
@@ -294,9 +327,23 @@ class RatFunc:
         if o is NotImplemented:
             return NotImplemented
         f = self._f
-        one = f.field.ring.one
-        if f.denom == one and o.denom == one:
-            return RatFunc(self.field, f.field.raw_new(f.numer * o.numer, one))
+        if not f or not o:
+            return self.field.zero
+        fn, fd, on, od = f.numer, f.denom, o.numer, o.denom
+        if len(fn) == len(fd) == len(on) == len(od) == 1:
+            # monomial times monomial: add the exponents, multiply the
+            # coefficients; the reduced quotient keeps the result canonical
+            (m1, c1), = fn.items()
+            (n1, k1), = fd.items()
+            (m2, c2), = on.items()
+            (n2, k2), = od.items()
+            c, k = int(c1 * c2), int(k1 * k2)
+            g = math.gcd(c, k)
+            return self.field._monomial(
+                [p + q - s - t for p, q, s, t in zip(m1, m2, n1, n2)], c // g, k // g
+            )
+        if _is_one(fd) and _is_one(od):
+            return RatFunc(self.field, f.raw_new(fn * on, fd))
         return RatFunc(self.field, f * o)
 
     __rmul__ = __mul__
@@ -307,6 +354,8 @@ class RatFunc:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero rational function")
+        if not self._f:
+            return self.field.zero
         return RatFunc(self.field, self._f / o)
 
     def __rtruediv__(self, other):
@@ -315,6 +364,8 @@ class RatFunc:
             return NotImplemented
         if not self._f:
             raise ZeroDivisionError("division by zero rational function")
+        if not o:
+            return self.field.zero
         return RatFunc(self.field, o / self._f)
 
     def __neg__(self):

@@ -19,6 +19,7 @@ from .field import (
     FunctionField,
     GammaVal,
     OrderingSpec,
+    RatFunc,
     newton_root_valuations,
 )
 from .algebra import EElement, EKind, ESpec, HermContext, v_E
@@ -69,6 +70,12 @@ class GaugeContext:
     @property
     def field(self) -> FunctionField:
         return self.ctx.field
+
+    def shift_monomial(self, i: int, j: int) -> RatFunc:
+        """The gauge shift x^((v(e_i) - v(e_j))/2) between two indices of one
+        residue block, where the exponent is integral."""
+        d = self._half_vals[i] - self._half_vals[j]
+        return self.field.monomial([int(c) for c in d.coords])
 
     def sigma(self, a: MatE) -> MatE:
         """The adjoint involution Int(e^{-1}) composed with bar-transpose."""
@@ -219,27 +226,20 @@ def residue_element(a: MatE, G: GaugeContext) -> list[MatE]:
     if not in_gauge_ring(a, G):
         raise NotInRing("element has negative gauge value")
     dec = residue_decomposition(G)
-    F = G.field
-    e = G.ctx.e
+    E0 = dec.residue_espec
+    F0 = E0.field
     out = []
     for block in dec.blocks:
         rows = []
         for i in block.indices:
             row = []
             for j in block.indices:
-                shift = (e[i].val() - e[j].val()).half()
-                mono = F.monomial([int(c) for c in shift.coords])
-                coords = tuple(
-                    Fraction((c * mono).residue()) for c in a.rows[i][j].coords
-                )
-                row.append(
-                    EElement(
-                        dec.residue_espec,
-                        tuple(dec.residue_espec.field.from_fraction(q) for q in coords),
-                    )
-                )
+                mono = G.shift_monomial(i, j)
+                row.append(EElement(E0, tuple(
+                    F0.from_fraction((c * mono).residue()) for c in a.rows[i][j].coords
+                )))
             rows.append(row)
-        out.append(MatE(dec.residue_espec, rows))
+        out.append(MatE(E0, rows))
     return out
 
 
@@ -262,11 +262,6 @@ def in_st(a: MatE, G: GaugeContext) -> bool:
     s = G.sigma(a) * a
     vals = newton_root_valuations(reduced_charpoly(s))
     return all(v == vals[0] for v in vals)
-
-
-def quat_division_gauge(q: EElement) -> GammaVal:
-    """The gauge w(q) = v(conj(q) q) / 2 on a quaternion division algebra."""
-    return v_E(q)
 
 
 def min_gauge_matrix(M: MatE, entry_gauge: Callable[[EElement], GammaVal]) -> GammaVal:

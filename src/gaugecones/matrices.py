@@ -34,6 +34,10 @@ class Singular(FieldError):
     """Matrix is not invertible."""
 
 
+class NonRealCoefficient(FieldError):
+    """A reduced characteristic polynomial coefficient is not in the base field."""
+
+
 class MatE:
     """Square or rectangular matrix with entries in a coefficient algebra E."""
 
@@ -231,7 +235,7 @@ def _dot(u: Sequence[EElement], v: Sequence[EElement], spec: ESpec) -> EElement:
 def _as_scalar(q: EElement) -> RatFunc:
     for c in q.coords[1:]:
         if not c.is_zero:
-            raise FieldError("coefficient has a nonzero imaginary part")
+            raise NonRealCoefficient("coefficient has a nonzero imaginary part")
     return q.coords[0]
 
 
@@ -248,7 +252,8 @@ def reduced_charpoly(M: MatE) -> PolyX:
 
     Degree n over F itself; degree 2n over F(sqrt(-1)) (the polynomial times
     its conjugate) and over the quaternions (characteristic polynomial of the
-    complex embedding).  Coefficients are exactly real.
+    complex embedding).  Coefficients are exactly real; NonRealCoefficient is
+    raised otherwise.
     """
     if not M.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")

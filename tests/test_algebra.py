@@ -15,6 +15,7 @@ from gaugecones.field import (
 )
 from gaugecones.algebra import (
     DiagForm,
+    EElement,
     EKind,
     HermContext,
     IndeterminateNorm,
@@ -319,6 +320,73 @@ class TestTraceFormOracle:
     @given(spec=quaternion_specs())
     def test_quaternion_closed_form(self, spec):
         assert trace_form(spec).entries == reference_trace_form(spec)
+
+
+def reference_product(x, y):
+    """The explicit product formulas of F, F(sqrt(-1)) and (a,b)_F, kept as
+    the reference for the structure-constant product."""
+    spec = x.spec
+    if spec.kind is EKind.BASE:
+        return (x.coords[0] * y.coords[0],)
+    if spec.kind is EKind.COMPLEX:
+        x0, x1 = x.coords
+        y0, y1 = y.coords
+        return (x0 * y0 - x1 * y1, x0 * y1 + x1 * y0)
+    a, b = spec.a, spec.b
+    x0, x1, x2, x3 = x.coords
+    y0, y1, y2, y3 = y.coords
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+@st.composite
+def coefficient_algebras(draw):
+    """F, F(sqrt(-1)), (-1,-1)_F, or (a,b)_F with a and b drawn as monomials,
+    non-monomial quotients, or (x+1, -y^3/2)."""
+    F = draw(st.sampled_from(FIELDS[1:]))
+    kind = draw(st.sampled_from(["base", "complex", "hamilton", "quat", "quat_fixed"]))
+    if kind in SPECS:
+        return SPECS[kind](F)
+    x, y = F.vars()[:2]
+    if kind == "quat_fixed":
+        return quat_spec(F, x + 1, -(y ** 3) / 2)
+    a, b = (draw(field_elements(F, rational=draw(st.booleans()))) for _ in "ab")
+    return quat_spec(F, a, b)
+
+
+@st.composite
+def algebra_elements(draw, spec):
+    """Sparse or dense coordinates: each one zero, a monomial, or a quotient."""
+    z = spec.field.zero
+    kinds = st.sampled_from(["zero", "monomial", "rational"])
+
+    def coordinate(kind):
+        if kind == "zero":
+            return z
+        return draw(field_elements(spec.field, rational=kind == "rational"))
+
+    return EElement(spec, tuple(coordinate(draw(kinds)) for _ in range(spec.dim)))
+
+
+class TestProductOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_explicit_formula(self, data):
+        spec = data.draw(coefficient_algebras())
+        x, y = data.draw(algebra_elements(spec)), data.draw(algebra_elements(spec))
+        assert (x * y).coords == reference_product(x, y)
+
+    def test_every_basis_product(self, F2):
+        x, y = F2.vars()
+        for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2),
+                     quat_spec(F2, x + 1, -(y ** 3) / 2)):
+            for u in spec.basis():
+                for v in spec.basis():
+                    assert (u * v).coords == reference_product(u, v)
 
 
 class TestDiagCongruence:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gaugecones import cli
+from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
     emit,
@@ -134,6 +135,18 @@ class TestRun:
         assert report["analyses"]["lift"]["liftable"] == ["--"]
         assert report["analyses"]["nil"]["nil"] == ["-+", "+-", "++"]
         assert report["analyses"]["wadth"]["allLift"] is False
+
+
+    def test_nonreal_charpoly_clears_coefficients_real(self, monkeypatch):
+        def nonreal(M):
+            raise NonRealCoefficient("coefficient has a nonzero imaginary part")
+
+        cfg = parse_config(dict(BASE_DOC, analyses=["quatmat-selftest"]))
+        assert run(cfg)["analyses"]["quatmat-selftest"]["coefficientsReal"] is True
+        monkeypatch.setattr(cli, "reduced_charpoly", nonreal)
+        report = run(cfg)
+        assert report["analyses"]["quatmat-selftest"]["coefficientsReal"] is False
+        assert report_has_violations(report)
 
 
 class TestDeterminism:

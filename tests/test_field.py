@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugecones.field import (
     INF,
@@ -14,6 +15,7 @@ from gaugecones.field import (
     NotMonicAfterNormalization,
     OrderingSpec,
     PolyX,
+    RatFunc,
     UnknownVariable,
     enumerate_orderings,
     newton_root_valuations,
@@ -286,3 +288,83 @@ class TestParser:
         samples += [random_ratfunc(F2, rng) for _ in range(30)]
         for f in samples:
             assert F2.parse(str(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Fast paths of RatFunc against sympy's general fraction arithmetic
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = [FunctionField(["x", "y", "z"][:r]) for r in (0, 2, 3)]
+KINDS = ("zero", "monomial", "polynomial", "rational")
+
+
+@st.composite
+def fracs(draw, F, kinds=KINDS):
+    """A sympy fraction-field element of F, built by sympy alone: zero, a
+    signed monomial with a fractional coefficient and exponents of either
+    sign (x/2, 1/(3*y)), a polynomial, or a quotient of polynomials."""
+    K = F._field
+
+    def monomial(low, den):
+        m = K(draw(st.integers(-3, 3).filter(bool))) / K(draw(st.integers(1, den)))
+        for g in K.gens:
+            m *= g ** draw(st.integers(low, 2))
+        return m
+
+    def polynomial():
+        return sum((monomial(0, 1) for _ in range(draw(st.integers(2, 3)))), K.zero)
+
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return K.zero
+    if kind == "monomial":
+        return monomial(-2, 3)
+    if kind == "polynomial":
+        return polynomial()
+    num, den = polynomial(), polynomial()
+    return num / den if den else num
+
+
+def _same(result: RatFunc, expected) -> bool:
+    """Structural equality with sympy's reduced form, printed form included."""
+    return result._f == expected and str(result) == str(expected)
+
+
+class TestFastPathOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_binary_ops_match_sympy(self, data):
+        F = data.draw(st.sampled_from(ORACLE_FIELDS))
+        f, g = data.draw(fracs(F)), data.draw(fracs(F))
+        a, b = RatFunc(F, f), RatFunc(F, g)
+        assert _same(a + b, f + g)
+        assert _same(a - b, f - g)
+        assert _same(a * b, f * g)
+        if g:
+            assert _same(a / b, f / g)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_monomial_products_match_sympy(self, data):
+        F = data.draw(st.sampled_from(ORACLE_FIELDS[1:]))
+        f, g = (data.draw(fracs(F, ("monomial",))) for _ in "fg")
+        assert _same(RatFunc(F, f) * RatFunc(F, g), f * g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scalar_operands_match_sympy(self, data):
+        F = data.draw(st.sampled_from(ORACLE_FIELDS))
+        f = data.draw(fracs(F))
+        q = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        a, c = RatFunc(F, f), F._field(q.numerator) / F._field(q.denominator)
+        assert _same(q + a, c + f)
+        assert _same(q - a, c - f)
+        assert _same(a - q, f - c)
+        assert _same(q * a, c * f)
+        if f:
+            assert _same(q / a, c / f)
+        if q:
+            assert _same(a / q, f / c)

@@ -36,7 +36,6 @@ from gaugecones.gauges import (
     in_st,
     is_dubrovin,
     min_gauge_matrix,
-    quat_division_gauge,
     residue_decomposition,
     residue_element,
     value_coset_set,
@@ -329,22 +328,23 @@ class TestInSt:
 
 
 class TestQuatDivisionGauge:
+    # the gauge on a quaternion division algebra is w(q) = v(conj(q) q)/2 = v_E(q)
     def test_examples(self, F2):
         x, y = F2.vars()
         Q = quat_spec(F2, x, y)
         one, i, j, k = Q.basis()
-        assert quat_division_gauge(i) == GammaVal([Fraction(1, 2), 0])
-        assert quat_division_gauge(j) == GammaVal([0, Fraction(1, 2)])
-        assert quat_division_gauge(one + i) == GammaVal([0, 0])
-        assert quat_division_gauge(i.conj()) == quat_division_gauge(i)
+        assert v_E(i) == GammaVal([Fraction(1, 2), 0])
+        assert v_E(j) == GammaVal([0, Fraction(1, 2)])
+        assert v_E(one + i) == GammaVal([0, 0])
+        assert v_E(i.conj()) == v_E(i)
 
     def test_min_gauge_matrix(self, F2):
         x, y = F2.vars()
         Q = quat_spec(F2, x, y)
         one, i, j, k = Q.basis()
         M = MatE(Q, [[i, Q.zero()], [Q.zero(), one]])
-        assert min_gauge_matrix(M, quat_division_gauge) == GammaVal([0, 0])
-        assert min_gauge_matrix(MatE.zeros(Q, 2), quat_division_gauge) == INF
+        assert min_gauge_matrix(M, v_E) == GammaVal([0, 0])
+        assert min_gauge_matrix(MatE.zeros(Q, 2), v_E) == INF
         assert min_gauge_matrix(
-            MatE(Q, [[i, Q.zero()], [Q.zero(), i]]), quat_division_gauge
+            MatE(Q, [[i, Q.zero()], [Q.zero(), i]]), v_E
         ) == GammaVal([Fraction(1, 2), 0])
