@@ -544,12 +544,6 @@ class PolyX:
                 rem.pop()
         return PolyX(self.field, quo), PolyX(self.field, rem)
 
-    def evaluate(self, x: RatFunc) -> RatFunc:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"PolyX({[str(c) for c in self.coeffs]})"
 

@@ -257,10 +257,12 @@ def eigen_valuations(b: MatE, G: GaugeContext) -> list[GammaVal]:
 
 def in_st(a: MatE, G: GaugeContext) -> bool:
     """Whether w(a^{-1}) = -w(a), tested via the eigenvalue valuations of
-    sigma(a) a, which must all coincide."""
-    a.inverse()  # raises Singular when a is not invertible
-    s = G.sigma(a) * a
-    vals = newton_root_valuations(reduced_charpoly(s))
+    sigma(a) a, which must all coincide.  sigma(a) a is singular iff a is,
+    so a zero constant term of its reduced charpoly raises Singular."""
+    p = reduced_charpoly(G.sigma(a) * a)
+    if p.coeffs[0].is_zero:
+        raise Singular("matrix is not invertible")
+    vals = newton_root_valuations(p)
     return all(v == vals[0] for v in vals)
 
 

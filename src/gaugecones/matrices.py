@@ -5,6 +5,11 @@ quaternionic matrix, reduced characteristic polynomials with coefficients in
 the base field, right-eigenvalue tests, Cayley-Hamilton verification, exact
 positive-semidefiniteness at an ordering, and extraction of eigenvalues lying
 in the base field.
+
+Everything is division-free up to a final cancellation: characteristic
+polynomials by Berkowitz's recursion, and the inverse by the Cayley-Hamilton
+identity on the matrix with its denominators cleared, whose Horner tail
+cayley_hamilton_check shares.
 """
 
 from __future__ import annotations
@@ -137,30 +142,42 @@ class MatE:
         return self.is_square and self == self.bar_transpose()
 
     def inverse(self) -> "MatE":
-        """Gauss-Jordan inverse over the (division) coefficient algebra."""
+        """Division-free inverse by the Cayley-Hamilton identity.
+
+        With d the lcm of the coordinate denominators, M' = d M has
+        polynomial entries.  For the characteristic polynomial p of M'
+        (the reduced one over F and the quaternions, det(X - M') over
+        F(sqrt(-1))), p(M') = B M' + p_0 I = 0, where B is the Horner tail
+        of p at M'; so M^-1 = -d B / p_0, and M is singular iff p_0 = 0.
+        Everything up to B stays on polynomial arithmetic; the end costs
+        one scalar division and one cancellation per non-zero coordinate.
+        Over F(sqrt(-1)), 1/p_0 is conj(p_0)/n_E(p_0).
+
+        E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of HermContext;
+        other quaternion algebras raise WrongKind (see chi).
+        """
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.n
-        A = [list(r) for r in self.rows]
-        B = [list(r) for r in MatE.identity(self.spec, n).rows]
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if not A[r][col].norm().is_zero), None
-            )
-            if pivot is None:
-                raise Singular("matrix is not invertible")
-            A[col], A[pivot] = A[pivot], A[col]
-            B[col], B[pivot] = B[pivot], B[col]
-            inv = A[col][col].inverse()
-            A[col] = [inv * x for x in A[col]]
-            B[col] = [inv * x for x in B[col]]
-            for r in range(n):
-                if r == col or A[r][col].is_zero:
-                    continue
-                c = A[r][col]
-                A[r] = [x - c * y for x, y in zip(A[r], A[col])]
-                B[r] = [x - c * y for x, y in zip(B[r], B[col])]
-        return MatE(self.spec, B)
+        spec = self.spec
+        d, cleared = _clear_denominators([c for r in self.rows for q in r for c in q.coords])
+        it = iter(cleared)
+        Mc = MatE(spec, [
+            [EElement(spec, tuple(next(it) for _ in range(spec.dim))) for _ in r]
+            for r in self.rows
+        ])
+        if spec.kind is EKind.COMPLEX:
+            p = _charpoly_commutative(Mc)
+            divisor = p[0].norm()
+        else:
+            p = reduced_charpoly(Mc).coeffs
+            divisor = p[0]
+        if divisor.is_zero:
+            raise Singular("matrix is not invertible")
+        B = _horner_tail(Mc, p)
+        if spec.kind is EKind.COMPLEX:
+            c = p[0].conj()
+            B = MatE(spec, [[x * c for x in r] for r in B.rows])
+        return B.scale(-d / divisor)
 
     def __eq__(self, other):
         if not isinstance(other, MatE):
@@ -179,10 +196,12 @@ def chi(M: MatE) -> MatE:
     """Complex 2n x 2n image of a quaternionic matrix.
 
     Writing each entry as q = (x0 + x1 i) + (x2 + x3 i) j, the image is the
-    block matrix [[M1, M2], [-conj(M2), conj(M1)]] over F(sqrt(-1)).
+    block matrix [[M1, M2], [-conj(M2), conj(M1)]] over F(sqrt(-1)).  The
+    block form holds for (-1,-1)_F only; any other quaternion algebra raises
+    WrongKind.
     """
-    if M.spec.kind is not EKind.QUAT:
-        raise WrongKind("complex embedding needs quaternionic entries")
+    if not M.spec.is_hamilton():
+        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
     C = complex_spec(M.spec.field)
 
     def part(q: EElement, lo: int) -> EElement:
@@ -223,6 +242,49 @@ def _charpoly_commutative(M: MatE) -> list[EElement]:
         p = [_dot(t[i::-1], p, M.spec) for i in range(len(p) + 1)]
     p.reverse()
     return p
+
+
+def _horner_tail(M: MatE, p: Sequence[EElement | RatFunc]) -> MatE:
+    """B = sum over k >= 1 of p_k M^(k-1), by Horner's rule, for a monic p
+    given constant first; then p(M) = B M + p_0 I.
+
+    Takes deg p - 2 matrix products (none below degree 3); scalars enter
+    on the diagonal only.
+    """
+    if len(p) == 2:
+        return MatE.identity(M.spec, M.n)
+    B = _add_scalar(M, p[-2])
+    for c in reversed(p[1:-2]):
+        B = _add_scalar(B * M, c)
+    return B
+
+
+def _add_scalar(M: MatE, c: EElement | RatFunc) -> MatE:
+    """M + c I for a central c."""
+    if isinstance(c, RatFunc):
+        c = M.spec.scalar(c)
+    return MatE(M.spec, [
+        [x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(M.rows)
+    ])
+
+
+def _clear_denominators(cs: Sequence[RatFunc]) -> tuple[RatFunc, list[RatFunc]]:
+    """(d, [d c for c in cs]) for non-empty cs, with d the lcm of the
+    denominators, so each d c is a polynomial, built as numerator times
+    d exquo denominator without a gcd."""
+    F = cs[0].field
+    ring, frac = F._ring, F._field
+    quotients = dict.fromkeys(c._f.denom for c in cs)
+    d = ring.one
+    for den in quotients:
+        d = d.lcm(den)
+    for den in quotients:
+        quotients[den] = d.exquo(den)
+    cleared = [
+        RatFunc(F, frac.raw_new(c._f.numer * quotients[c._f.denom], ring.one))
+        for c in cs
+    ]
+    return RatFunc(F, frac.raw_new(d, ring.one)), cleared
 
 
 def _dot(u: Sequence[EElement], v: Sequence[EElement], spec: ESpec) -> EElement:
@@ -290,13 +352,8 @@ def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
 
 def cayley_hamilton_check(M: MatE) -> bool:
     """Whether the reduced characteristic polynomial annihilates M."""
-    p = reduced_charpoly(M)
-    n = M.n
-    acc = MatE.zeros(M.spec, n)
-    I = MatE.identity(M.spec, n)
-    for c in reversed(p.coeffs):
-        acc = acc * M + I.scale(c)
-    return acc.is_zero
+    p = reduced_charpoly(M).coeffs
+    return _add_scalar(_horner_tail(M, p) * M, p[0]).is_zero
 
 
 def psd_at(M: MatE, P: OrderingSpec) -> bool:
@@ -368,17 +425,11 @@ def _rational_roots(p: PolyX) -> tuple[list[RatFunc], bool]:
     R = built[0]
     fring = F._ring
 
-    # clear denominators: multiply by the product of coefficient denominators
-    den = F.one
-    for c in p.coeffs:
-        den = den * RatFunc(F, F._field.new(c._f.denom, fring.one))
-    cleared = [c * den for c in p.coeffs]
+    _, cleared = _clear_denominators(p.coeffs)
     total = R.zero
     for i, c in enumerate(cleared):
         if c.is_zero:
             continue
-        if c._f.denom != fring.one:
-            raise FieldError("denominator clearing failed")
         total += R.from_terms(
             [((i,) + exps, coeff) for exps, coeff in c._f.numer.terms()]
         )

@@ -242,12 +242,6 @@ class TestPolyX:
         assert q == PolyX(F, [-x, F.one])
         assert q * d == p
 
-    def test_evaluate(self):
-        F = FunctionField(["x"])
-        x = F.var(0)
-        p = PolyX(F, [x, F.one, F.one])
-        assert p.evaluate(x) == x * x + x + x
-
 
 class TestParser:
     def test_basic(self, F2):

@@ -307,9 +307,14 @@ class TestInSt:
         assert not in_st(e_matrix(G, [[F2.one, F2.zero], [F2.zero, x]]), G)
 
     def test_singular(self, F2):
+        x, _ = F2.vars()
         G = make_context(F2, [F2.one, F2.one])
         with pytest.raises(Singular):
             in_st(MatE.zeros(G.espec, 2), G)
+        for kind in ("base", "complex", "hamilton"):
+            G = make_context(F2, [F2.one, x], kind=kind)
+            with pytest.raises(Singular):
+                in_st(e_matrix(G, [[F2.one, F2.one], [F2.one, F2.one]]), G)
 
     def test_inverse_identity(self, F2):
         rng = random.Random(48)

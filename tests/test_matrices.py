@@ -5,9 +5,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaugecones.field import FunctionField, GammaVal, OrderingSpec, PolyX, enumerate_orderings
-from gaugecones.algebra import EElement, EKind, base_spec, complex_spec, hamilton_spec
+from gaugecones.field import (
+    FunctionField,
+    GammaVal,
+    OrderingSpec,
+    PolyX,
+    RatFunc,
+    enumerate_orderings,
+)
+from gaugecones.algebra import (
+    EElement,
+    EKind,
+    base_spec,
+    complex_spec,
+    hamilton_spec,
+    quat_spec,
+)
 from gaugecones.matrices import (
     MatE,
     NotHermitian,
@@ -104,6 +119,90 @@ def reference_reduced_charpoly(M):
     return PolyX(M.spec.field, [c.coords[0] for c in coeffs])
 
 
+def gauss_jordan_inverse(M):
+    """Reference inverse over a division algebra E by Gauss-Jordan
+    elimination, which divides by every pivot."""
+    n = M.n
+    A = [list(r) for r in M.rows]
+    B = [list(r) for r in MatE.identity(M.spec, n).rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not A[r][col].is_zero), None)
+        if pivot is None:
+            raise Singular("matrix is not invertible")
+        A[col], A[pivot] = A[pivot], A[col]
+        B[col], B[pivot] = B[pivot], B[col]
+        inv = A[col][col].inverse()
+        A[col] = [inv * x for x in A[col]]
+        B[col] = [inv * x for x in B[col]]
+        for r in range(n):
+            if r == col or A[r][col].is_zero:
+                continue
+            c = A[r][col]
+            A[r] = [x - c * y for x, y in zip(A[r], A[col])]
+            B[r] = [x - c * y for x, y in zip(B[r], B[col])]
+    return MatE(M.spec, B)
+
+
+def cleared(M):
+    """(q, q M) with q the lcm of M's coordinate denominators, each
+    coordinate built as numerator times q exquo denominator, so that
+    products of cleared matrices need no gcd."""
+    F = M.spec.field
+    coords = [c._f for r in M.rows for x in r for c in x.coords]
+    q = F._ring.one
+    for c in coords:
+        q = q.lcm(c.denom)
+    it = (RatFunc(F, F._field.new(c.numer * q.exquo(c.denom), F._ring.one)) for c in coords)
+    qM = MatE(M.spec, [[EElement(M.spec, tuple(next(it) for _ in range(M.spec.dim)))
+                        for _ in r] for r in M.rows])
+    return RatFunc(F, F._field.new(q, F._ring.one)), qM
+
+
+ORACLE_F = FunctionField(["x", "y"])
+ORACLE_SPECS = (base_spec(ORACLE_F), complex_spec(ORACLE_F), hamilton_spec(ORACLE_F))
+
+
+def _monomials(low):
+    coeffs = {Fraction(a, b) for a in (-3, -1, 1, 2) for b in (1, 2, 3)}
+    return [ORACLE_F.monomial((i, j), c) for c in sorted(coeffs)
+            for i in range(low, 2) for j in range(low, 2)]
+
+
+# one draw per coordinate keeps 3 x 3 quaternion matrices within
+# hypothesis's example size
+ORACLE_MONOMIALS = {low: _monomials(low) for low in (-1, 0)}
+
+
+@st.composite
+def oracle_matrices(draw):
+    """n <= 3 with polynomial or monomial coordinates (monomials with
+    fractional coefficients and exponents of either sign), or a 2 x 2
+    random_rational_mat, over F, F(sqrt(-1)) or (-1,-1)_F.  Besides the
+    real part of its diagonal entry, a row has about two non-zero
+    coordinates, so Gauss-Jordan stays within seconds."""
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    kind = draw(st.sampled_from(["polynomial", "monomial", "rational"]))
+    if kind == "rational":
+        return random_rational_mat(spec, 2, random.Random(draw(st.integers(0, 2 ** 16))))
+    F = spec.field
+
+    def monomial(low):
+        return draw(st.sampled_from(ORACLE_MONOMIALS[low]))
+
+    n = draw(st.integers(1, 3))
+    sparsity = max(2, n * spec.dim // 2)
+
+    def coord(diagonal_real):
+        if not diagonal_real and draw(st.integers(1, sparsity)) > 1:
+            return F.zero
+        if kind == "monomial":
+            return monomial(-1)
+        return monomial(0) + monomial(0)
+
+    return MatE(spec, [[EElement(spec, tuple(coord(i == j and t == 0) for t in range(spec.dim)))
+                        for j in range(n)] for i in range(n)])
+
+
 class TestMatE:
     def test_ring_ops(self, F2):
         rng = random.Random(31)
@@ -133,6 +232,31 @@ class TestMatE:
         H = hamilton_spec(F2)
         with pytest.raises(Singular):
             MatE.zeros(H, 2).inverse()
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=oracle_matrices())
+    def test_inverse_matches_gauss_jordan(self, M):
+        try:
+            expected = gauss_jordan_inverse(M)
+        except Singular:
+            with pytest.raises(Singular):
+                M.inverse()
+            return
+        assert M.inverse() == expected
+
+    def test_inverse_rational_3x3(self, F2):
+        """3 x 3 matrices with a rational entry, five of which took
+        Gauss-Jordan over a minute; A A^-1 = A^-1 A = I is checked on
+        cleared denominators, as (d A)(q A^-1) = (q A^-1)(d A) = d q I."""
+        for spec in (complex_spec(F2), hamilton_spec(F2)):
+            rng = random.Random(5)
+            for _ in range(5):
+                A = random_rational_mat(spec, 3, rng)
+                d, dA = cleared(A)
+                q, qB = cleared(A.inverse())
+                dqI = MatE.identity(spec, 3).scale(d * q)
+                assert dA * qB == dqI
+                assert qB * dA == dqI
 
 
 class TestChi:
@@ -165,6 +289,15 @@ class TestChi:
     def test_wrong_kind(self, F2):
         with pytest.raises(WrongKind):
             chi(MatE.identity(base_spec(F2), 2))
+
+    def test_other_quaternion_algebra(self, F2):
+        """The block form of chi holds for (-1,-1)_F only: over (2,3)_F it
+        would give [i] the charpoly X^2 + 1 instead of X^2 - 2."""
+        spec = quat_spec(F2, F2.from_fraction(2), F2.from_fraction(3))
+        M = MatE(spec, [[spec.basis()[1]]])
+        for f in (chi, reduced_charpoly, cayley_hamilton_check, MatE.inverse):
+            with pytest.raises(WrongKind):
+                f(M)
 
 
 class TestReducedCharpoly:
