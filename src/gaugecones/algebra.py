@@ -3,13 +3,14 @@
 E is one of F itself, F(sqrt(-1)), or a quaternion algebra (a,b)_F with
 basis 1, i, j, k = ij and relations i^2 = a, j^2 = b, ji = -ij.  The module
 provides the bar conjugation, the norm form n_E(x) = conj(x) x, the valuation
-extension v_E = (1/2) val(n_E), trace forms of the in-scope algebras with
-involution, and symmetric congruence diagonalization over F.
+extension v_E = (1/2) val(n_E), and trace forms of the in-scope algebras
+with involution.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,13 +56,15 @@ class ESpec:
     """One of the coefficient algebras: F, F(sqrt(-1)), or (a,b)_F.
 
     products holds the structure constants of the standard basis, built once
-    with the spec and read by every product of its elements."""
+    with the spec and read by every product of its elements; hamilton is
+    whether the spec is (-1,-1)_F, fixed with it too."""
 
     kind: EKind
     field: FunctionField
     a: Optional[RatFunc] = None
     b: Optional[RatFunc] = None
     products: Products = dataclasses.field(init=False, repr=False, compare=False)
+    hamilton: bool = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is EKind.QUAT:
@@ -70,6 +73,8 @@ class ESpec:
         elif self.a is not None or self.b is not None:
             raise ValueError("parameters only apply to quaternion algebras")
         object.__setattr__(self, "products", _structure_constants(self))
+        object.__setattr__(self, "hamilton", self.kind is EKind.QUAT
+                           and self.a == self.b == self.field.from_fraction(-1))
 
     @property
     def dim(self) -> int:
@@ -96,11 +101,6 @@ class ESpec:
             coords[t] = o
             out.append(EElement(self, tuple(coords)))
         return out
-
-    def is_hamilton(self) -> bool:
-        """Quaternions with a = b = -1."""
-        m1 = self.field.from_fraction(-1)
-        return self.kind is EKind.QUAT and self.a == m1 and self.b == m1
 
 
 def _structure_constants(spec: ESpec) -> Products:
@@ -270,7 +270,7 @@ def v_E(x: EElement) -> GammaVal:
     if x.is_zero:
         return GammaVal.infinity()
     spec = x.spec
-    if spec.kind is not EKind.QUAT or spec.is_hamilton():
+    if spec.kind is not EKind.QUAT or spec.hamilton:
         return min(c.val() for c in x.coords if not c.is_zero)
     va, vb = spec.a.val(), spec.b.val()
     classes = {
@@ -306,12 +306,17 @@ class HermContext:
     e: tuple[RatFunc, ...]
 
     def __post_init__(self):
-        if self.espec.kind is EKind.QUAT and not self.espec.is_hamilton():
+        if self.espec.kind is EKind.QUAT and not self.espec.hamilton:
             raise ValueError("matrix contexts require F, F(sqrt(-1)) or (-1,-1)_F")
         if not self.e:
             raise ValueError("empty form")
         if any(f.is_zero for f in self.e):
             raise ValueError("form entries must be invertible")
+
+    @functools.cached_property
+    def ratios(self) -> tuple[tuple[RatFunc, ...], ...]:
+        """ratios[i][j] = e_i/e_j, computed once per form."""
+        return tuple(tuple(ei / ej for ej in self.e) for ei in self.e)
 
     @property
     def n(self) -> int:
@@ -372,65 +377,6 @@ class DiagForm:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class CongruenceResult:
-    """D = C^t G C with C invertible; entries of D may include zeros."""
-
-    entries: tuple[RatFunc, ...]
-    transform: tuple[tuple[RatFunc, ...], ...]
-
-
-def diag_congruence(G: Sequence[Sequence[RatFunc]]) -> CongruenceResult:
-    """Diagonalize a symmetric matrix over F by congruence, recording the transform."""
-    n = len(G)
-    if n == 0:
-        return CongruenceResult((), ())
-    field = G[0][0].field
-    A = [list(row) for row in G]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i][j] != A[j][i]:
-                raise ValueError("matrix is not symmetric")
-    C = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-
-    def add_col(dst, src, c):
-        # column op A <- A + c * col_src into col_dst, mirrored on rows, tracked in C
-        for t in range(n):
-            A[t][dst] = A[t][dst] + c * A[t][src]
-        for t in range(n):
-            A[dst][t] = A[dst][t] + c * A[src][t]
-        for t in range(n):
-            C[t][dst] = C[t][dst] + c * C[t][src]
-
-    def swap_cols(p, q):
-        for t in range(n):
-            A[t][p], A[t][q] = A[t][q], A[t][p]
-        A[p], A[q] = A[q], A[p]
-        for t in range(n):
-            C[t][p], C[t][q] = C[t][q], C[t][p]
-
-    for k in range(n):
-        if A[k][k].is_zero:
-            pivot = next((t for t in range(k + 1, n) if not A[t][t].is_zero), None)
-            if pivot is not None:
-                swap_cols(k, pivot)
-            else:
-                off = next(
-                    (t for t in range(k + 1, n) if not A[k][t].is_zero), None
-                )
-                if off is None:
-                    continue
-                add_col(k, off, field.one)
-        d = A[k][k]
-        for t in range(k + 1, n):
-            if not A[k][t].is_zero:
-                add_col(t, k, -A[k][t] / d)
-    return CongruenceResult(
-        tuple(A[t][t] for t in range(n)),
-        tuple(tuple(row) for row in C),
-    )
-
-
 def trace_form(spec: AlgebraSpec) -> DiagForm:
     """The trace form (x, y) -> Trd(sigma(x) y) over F, on an orthogonal basis.
 
@@ -442,8 +388,7 @@ def trace_form(spec: AlgebraSpec) -> DiagForm:
     if isinstance(spec, QuatDivSpec):
         return DiagForm(tuple((spec.apply(q) * q).trd() for q in spec.espec().basis()))
     norms = [(q.conj() * q).trd() for q in spec.espec.basis()]
-    ratios = [ei / ej for ei in spec.e for ej in spec.e]
-    return DiagForm(tuple(r * t for t in norms for r in ratios))
+    return DiagForm(tuple(r * t for t in norms for row in spec.ratios for r in row))
 
 
 def same_square_class_form(d1: DiagForm, d2: DiagForm, P: OrderingSpec) -> bool:

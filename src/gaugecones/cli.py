@@ -13,10 +13,12 @@ when no property violations and no analysis errors occurred.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from .field import FieldError, FunctionField, GammaVal, OrderingSpec, enumerate_orderings
 from .algebra import (
@@ -28,14 +30,7 @@ from .algebra import (
     hamilton_spec,
 )
 from .matrices import NonRealCoefficient, reduced_charpoly
-from .gauges import (
-    GaugeContext,
-    IndefiniteForm,
-    form_coset_index,
-    is_dubrovin,
-    residue_decomposition,
-    value_coset_set,
-)
+from .gauges import coset_index, is_dubrovin, value_coset_set
 from .cones import (
     ConeSpec,
     check_prepositive_axioms,
@@ -56,6 +51,10 @@ ANALYSES = (
     "wadth",
     "quatmat-selftest",
 )
+
+# "ordering": "ALL" enumerates 2^r orderings; configs with more variables
+# than this must name one ordering
+MAX_ALL_ORDERING_VARS = 16
 
 
 class ConfigError(Exception):
@@ -89,7 +88,7 @@ def parse_config(doc: dict) -> dict:
         if variant == "matrix":
             kind = alg.get("kind", "base")
             spec_of = {"base": base_spec, "complex": complex_spec, "hamilton": hamilton_spec}
-            if kind not in spec_of:
+            if not isinstance(kind, str) or kind not in spec_of:
                 raise ConfigError(f"unknown coefficient kind {kind!r}", "algebra.kind")
             form = alg.get("form")
             if not isinstance(form, list) or not form or not all(isinstance(f, str) for f in form):
@@ -115,14 +114,18 @@ def parse_config(doc: dict) -> dict:
 
     ordering = doc.get("ordering", "ALL")
     if ordering == "ALL":
+        if F.r > MAX_ALL_ORDERING_VARS:
+            raise ConfigError(
+                f"ALL would enumerate 2^{F.r} orderings; name one ordering when "
+                f"there are more than {MAX_ALL_ORDERING_VARS} variables", "ordering")
         orderings = enumerate_orderings(F.r)
-    elif isinstance(ordering, list) and len(ordering) == F.r:
-        try:
-            orderings = [OrderingSpec(tuple(int(s) for s in ordering))]
-        except ValueError as exc:
-            raise ConfigError(str(exc), "ordering") from exc
+    elif isinstance(ordering, list) and len(ordering) == F.r and all(
+        type(s) is int and s in (-1, 1) for s in ordering
+    ):
+        orderings = [OrderingSpec(tuple(ordering))]
     else:
-        raise ConfigError("ordering must be ALL or a sign vector of length |vars|", "ordering")
+        raise ConfigError(
+            "ordering must be ALL or a list of |vars| signs, each -1 or 1", "ordering")
 
     analyses = doc.get("analyses", [])
     if not isinstance(analyses, list):
@@ -178,88 +181,84 @@ def _tallies(report) -> dict:
 # Analyses
 # ---------------------------------------------------------------------------
 
-def _analysis_gauge(cfg) -> dict:
+@dataclass(frozen=True)
+class _PerOrdering:
+    """An analysis of a matrix presentation, run at the requested orderings."""
+
+    noun: str  # names the analysis in the note for other presentations
+    at: Callable[[ConeSpec, dict], dict]  # report at an ordering where h is definite
+    indefinite: Optional[dict] = None  # report where it is not; None leaves it out
+    first_only: bool = False  # the first definite ordering's report is the whole one
+    finish: Callable[[dict, dict], dict] = lambda per, cfg: per
+
+
+def _gauge_at(C: ConeSpec, cfg) -> dict:
+    return {"valid": True, "normalizedSign": C.gauge().normalized_sign}
+
+
+def _gauge_finish(per: dict, cfg) -> dict:
+    """Adds the value set, which depends on the form alone, to every valid
+    ordering's report."""
+    cosets = value_coset_set(cfg["algebra"])
+    reps = sorted(fmt_gamma(v) for v in cosets)
+    for report in per.values():
+        if report["valid"]:
+            report.update(cosetReps=reps, cosetIndex=len(cosets))
+    return {"cosetIndex": len(cosets), "orderings": per}
+
+
+def _residue_at(C: ConeSpec, cfg) -> dict:
+    G = C.gauge()
+    return {
+        "ordering": fmt_eta(C.P),
+        "residueKind": G.residue.residue_espec.kind.value,
+        "dubrovin": is_dubrovin(G),
+        "blocks": [
+            {
+                "classRep": fmt_gamma(b.class_rep),
+                "indices": list(b.indices),
+                "residueForm": [str(q) for q in b.residue_form],
+                "size": b.size,
+            }
+            for b in G.residue.blocks
+        ],
+    }
+
+
+def _cones_at(C: ConeSpec, cfg) -> dict:
+    return _tallies(check_prepositive_axioms(C, samples=cfg["samples"], seed=cfg["seed"]))
+
+
+def _compat_at(C: ConeSpec, cfg) -> dict:
+    return _tallies(compatibility_suite(C, sample_count=cfg["samples"], seed=cfg["seed"]))
+
+
+_PER_ORDERING = {
+    "gauge": _PerOrdering("gauge", _gauge_at, {"valid": False}, finish=_gauge_finish),
+    "residue": _PerOrdering("residue", _residue_at, first_only=True),
+    "cones": _PerOrdering("cone", _cones_at),
+    "compat": _PerOrdering("compatibility", _compat_at),
+}
+
+
+def _run_per_ordering(name: str, cfg) -> dict:
+    analysis = _PER_ORDERING[name]
     algebra = cfg["algebra"]
     if not isinstance(algebra, HermContext):
-        return {"note": "gauge analysis applies to matrix presentations only"}
-    out: dict[str, Any] = {"cosetIndex": form_coset_index(algebra)}
+        return {"note": f"{analysis.noun} analysis applies to matrix presentations only"}
     per = {}
-    for P in cfg["orderings"]:
-        try:
-            G = GaugeContext(algebra, P)
-        except IndefiniteForm:
-            per[fmt_eta(P)] = {"valid": False}
-            continue
-        cosets = value_coset_set(G)
-        per[fmt_eta(P)] = {
-            "valid": True,
-            "normalizedSign": G.normalized_sign,
-            "cosetReps": sorted(fmt_gamma(v) for v in cosets.reps),
-            "cosetIndex": len(cosets),
-        }
-    out["orderings"] = per
-    return out
-
-
-def _analysis_residue(cfg) -> dict:
-    algebra = cfg["algebra"]
-    if not isinstance(algebra, HermContext):
-        return {"note": "residue analysis applies to matrix presentations only"}
-    for P in cfg["orderings"]:
-        try:
-            G = GaugeContext(algebra, P)
-        except IndefiniteForm:
-            continue
-        dec = residue_decomposition(G)
-        return {
-            "ordering": fmt_eta(P),
-            "residueKind": dec.residue_espec.kind.value,
-            "dubrovin": is_dubrovin(G),
-            "blocks": [
-                {
-                    "classRep": fmt_gamma(b.class_rep),
-                    "indices": list(b.indices),
-                    "residueForm": [str(q) for q in b.residue_form],
-                    "size": b.size,
-                }
-                for b in dec.blocks
-            ],
-        }
-    return {"error": "form is definite at no requested ordering"}
-
-
-def _valid_cones(cfg):
-    algebra = cfg["algebra"]
     for P in cfg["orderings"]:
         C = ConeSpec(algebra, P)
         if C.valid:
-            yield C
-
-
-def _analysis_cones(cfg) -> dict:
-    algebra = cfg["algebra"]
-    if not isinstance(algebra, HermContext):
-        return {"note": "cone analysis applies to matrix presentations only"}
-    out = {}
-    for C in _valid_cones(cfg):
-        rep = check_prepositive_axioms(C, samples=cfg["samples"], seed=cfg["seed"])
-        out[fmt_eta(C.P)] = _tallies(rep)
-    if not out:
+            report = analysis.at(C, cfg)
+            if analysis.first_only:
+                return report
+            per[fmt_eta(P)] = report
+        elif analysis.indefinite is not None:
+            per[fmt_eta(P)] = dict(analysis.indefinite)
+    if not per:
         return {"error": "form is definite at no requested ordering"}
-    return out
-
-
-def _analysis_compat(cfg) -> dict:
-    algebra = cfg["algebra"]
-    if not isinstance(algebra, HermContext):
-        return {"note": "compatibility analysis applies to matrix presentations only"}
-    out = {}
-    for C in _valid_cones(cfg):
-        rep = compatibility_suite(C, sample_count=cfg["samples"], seed=cfg["seed"])
-        out[fmt_eta(C.P)] = _tallies(rep)
-    if not out:
-        return {"error": "form is definite at no requested ordering"}
-    return out
+    return analysis.finish(per, cfg)
 
 
 def _analysis_lift(cfg) -> dict:
@@ -321,10 +320,7 @@ def _analysis_quatmat(cfg) -> dict:
 
 
 _RUNNERS = {
-    "gauge": _analysis_gauge,
-    "residue": _analysis_residue,
-    "cones": _analysis_cones,
-    "compat": _analysis_compat,
+    **{name: functools.partial(_run_per_ordering, name) for name in _PER_ORDERING},
     "lift": _analysis_lift,
     "nil": _analysis_nil,
     "wadth": _analysis_wadth,
@@ -351,7 +347,7 @@ def run(cfg: dict) -> dict:
 # Built-in scenarios
 # ---------------------------------------------------------------------------
 
-def scenario_bk2_example(seed: int, samples: int) -> dict:
+def scenario_bk2_example() -> dict:
     F = FunctionField(["x", "y"])
     x, y = F.vars()
     out: dict[str, Any] = {
@@ -359,18 +355,14 @@ def scenario_bk2_example(seed: int, samples: int) -> dict:
         "orderings": [fmt_eta(P) for P in enumerate_orderings(2)],
     }
     for key, inv in (("gamma", Involution.GAMMA), ("intIGamma", Involution.INT_I_GAMMA)):
-        spec = QuatDivSpec(x, y, inv)
-        rep = lift_set(spec)
-        out[key] = {
-            "traceForm": [str(f) for f in rep.trace_entries],
-            "liftable": [fmt_eta(P) for P in rep.liftable],
-            "harrisonMatches": rep.harrison_matches,
-            "nil": [fmt_eta(P) for P in nil_orderings(spec).nil],
-        }
+        cfg = {"algebra": QuatDivSpec(x, y, inv)}
+        lift = _analysis_lift(cfg)
+        out[key] = {k: lift[k] for k in ("traceForm", "liftable", "harrisonMatches")}
+        out[key].update(_analysis_nil(cfg))
     return out
 
 
-def scenario_m6_index_example(seed: int, samples: int) -> dict:
+def scenario_m6_index_example() -> dict:
     F = FunctionField(["x1", "x2", "x3", "x4"])
     x1, x2, x3, x4 = F.vars()
     forms = {
@@ -380,7 +372,7 @@ def scenario_m6_index_example(seed: int, samples: int) -> dict:
     out: dict[str, Any] = {"scenario": "m6_index_example"}
     for name, (entries, reference) in forms.items():
         ctx = HermContext(base_spec(F), entries)
-        index = form_coset_index(ctx)
+        index = coset_index(ctx)
         # independent exhaustive count over all entry pairs
         vals = [f.val() for f in entries]
         brute = len({(a - b).mod_group(2) for a in vals for b in vals})
@@ -490,10 +482,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.scenario:
-            report = SCENARIOS[args.scenario](
-                0 if args.seed is None else args.seed,
-                50 if args.samples is None else args.samples,
-            )
+            report = SCENARIOS[args.scenario]()
         elif args.config:
             cfg = load_config(args.config)
             if args.seed is not None:

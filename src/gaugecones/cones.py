@@ -26,6 +26,7 @@ from .field import (
     enumerate_orderings,
 )
 from .algebra import (
+    AlgebraSpec,
     EElement,
     ESpec,
     HermContext,
@@ -37,12 +38,13 @@ from .matrices import MatE, psd_at, reduced_charpoly
 from .gauges import (
     GaugeContext,
     IndefiniteForm,
-    form_coset_index,
+    adjoint,
+    coset_index,
     gauge_value,
     in_gauge_ideal,
     in_gauge_ring,
-    residue_decomposition,
     residue_element,
+    square_classes,
 )
 
 
@@ -94,8 +96,6 @@ class ConeSpec:
 def cone_member(a: MatE, C: ConeSpec) -> bool:
     """Membership in the positive cone: ad_h-symmetric with a positive
     semidefinite Gram twist at the ordering."""
-    if not C.valid:
-        raise InvalidCone("form is not definite at the ordering")
     G = C.gauge()
     if not G.is_symmetric(a):
         return False
@@ -139,8 +139,6 @@ def sample_cone(C: ConeSpec, S: Optional[Sequence[MatE]] = None,
                 count: int = 1, rng: Optional[random.Random] = None) -> list[MatE]:
     """Random cone members: sums of u_i sigma(x_i) s_i x_i with u_i positive
     at P and s_i drawn from the generating members S (default {1})."""
-    if not C.valid:
-        raise InvalidCone("form is not definite at the ordering")
     rng = rng or random.Random(0)
     G = C.gauge()
     if S is None:
@@ -246,7 +244,6 @@ def compatibility_suite(C: ConeSpec, sample_count: int = 200,
         if not cond:
             res[name].violations.append(witness)
 
-    zero = GammaVal.zero(C.field.r)
     one_mat = MatE.identity(C.espec, C.n)
 
     for k in range(sample_count):
@@ -331,7 +328,7 @@ class ResidueCone:
     def lift(self, blocks: Sequence[MatE]) -> MatE:
         """The monomial preimage of a residue element, undoing the gauge shift."""
         G = self.cone.gauge()
-        dec = residue_decomposition(G)
+        dec = G.residue
         F = self.cone.field
         espec = self.cone.espec
         out = [[espec.zero() for _ in range(self.cone.n)] for _ in range(self.cone.n)]
@@ -348,9 +345,7 @@ class ResidueCone:
 
 
 def residue_cone(C: ConeSpec) -> ResidueCone:
-    if not C.valid:
-        raise InvalidCone("form is not definite at the ordering")
-    dec = residue_decomposition(C.gauge())
+    dec = C.gauge().residue
     P0 = OrderingSpec(())
     F0 = dec.residue_espec.field
     specs = []
@@ -364,10 +359,7 @@ def residue_cone(C: ConeSpec) -> ResidueCone:
 # Baer-Krull lifting
 # ---------------------------------------------------------------------------
 
-AlgebraLike = HermContext | QuatDivSpec
-
-
-def lift_exists(spec: AlgebraLike, P: OrderingSpec) -> bool:
+def lift_exists(spec: AlgebraSpec, P: OrderingSpec) -> bool:
     """Whether the residue cone lifts over P: the trace form of the algebra
     with involution is definite at P.
 
@@ -392,7 +384,7 @@ class LiftReport:
         return self.liftable == self.harrison_set
 
 
-def lift_set(spec: AlgebraLike) -> LiftReport:
+def lift_set(spec: AlgebraSpec) -> LiftReport:
     """All liftable orderings, with the Harrison-set cross-characterization.
 
     Trace-form entries are grouped by valuation class mod twice the value
@@ -406,28 +398,17 @@ def lift_set(spec: AlgebraLike) -> LiftReport:
     orderings = tuple(enumerate_orderings(F.r))
     liftable = tuple(P for P in orderings if lift_exists(spec, P))
 
-    classes: dict[GammaVal, list[RatFunc]] = {}
-    order: list[GammaVal] = []
-    for f in tf.entries:
-        cls = f.val().mod_group(2)
-        if cls not in classes:
-            classes[cls] = []
-            order.append(cls)
-        classes[cls].append(f)
     epsilons = []
     generators = []
-    mixed = False
-    for cls in order:
-        signs = {1 if f.unit_part_residue() > 0 else -1 for f in classes[cls]}
+    for cls, idx in square_classes(tf.entries).items():
+        signs = {1 if tf.entries[i].leading_term()[1] > 0 else -1 for i in idx}
         if len(signs) != 1:
             epsilons.append(0)
-            mixed = True
             continue
         eps = signs.pop()
         epsilons.append(eps)
-        rho = F.monomial([int(c) for c in cls.coords], eps)
-        generators.append(rho)
-    if mixed:
+        generators.append(F.monomial([int(c) for c in cls.coords], eps))
+    if 0 in epsilons:
         harrison = ()
     else:
         harrison = tuple(
@@ -447,13 +428,13 @@ class WadthResult:
     lift_count: int
 
 
-def wadth_check(spec: AlgebraLike) -> WadthResult:
+def wadth_check(spec: AlgebraSpec) -> WadthResult:
     """Every ordering lifts iff the gauge value set is the base value group,
     in which case the number of liftings is the full count of orderings."""
     orderings = enumerate_orderings(spec.field.r)
     lift_count = sum(lift_exists(spec, P) for P in orderings)
     if isinstance(spec, HermContext):
-        index_one = form_coset_index(spec) == 1
+        index_one = coset_index(spec) == 1
     else:
         va, vb = spec.a.val(), spec.b.val()
         zero = GammaVal.zero(spec.field.r)
@@ -513,7 +494,7 @@ def anisotropy_certificate(coeffs: Sequence[RatFunc], ctx: HermContext,
     zero = GammaVal.zero(F.r)
     positive = all(f.sign_at(P) == 1 for f in coeffs)
     units = all(f.val() == zero for f in coeffs)
-    certified = positive and (units or form_coset_index(ctx) == 1)
+    certified = positive and (units or coset_index(ctx) == 1)
 
     witness = _isotropy_falsifier(coeffs, ctx, P, rng, attempts, multiplier)
     if certified:
@@ -527,22 +508,13 @@ def _isotropy_falsifier(coeffs, ctx, P, rng, attempts, multiplier):
     """Search for x_i, not all zero, with sum sigma(x_i) a_i x_i = 0."""
     spec = ctx.espec
     n = ctx.n
-    e = ctx.e
-
-    def sigma(m):
-        rows = [
-            [m.rows[j][i].conj().scale(e[j] / e[i]) for j in range(n)]
-            for i in range(n)
-        ]
-        return MatE(spec, rows)
-
     ell = len(coeffs)
     pool = [Fraction(q) for q in (1, -1, 2, -2, Fraction(1, 2))]
 
     def total(xs):
         acc = MatE.zeros(spec, n)
         for f, x in zip(coeffs, xs):
-            acc = acc + (sigma(x) * x).scale(f)
+            acc = acc + (adjoint(x, ctx) * x).scale(f)
         return acc
 
     # structured attempts: two-coordinate scalar witnesses t^2 a_i = -a_j

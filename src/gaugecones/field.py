@@ -444,11 +444,6 @@ class RatFunc:
         _, coeff = self.leading_term()
         return coeff
 
-    def unit_part_residue(self) -> Fraction:
-        """Residue of self * x^(-val(self)); the leading coefficient. Nonzero input."""
-        _, coeff = self.leading_term()
-        return coeff
-
     def __repr__(self):
         return f"RatFunc({self._f})"
 

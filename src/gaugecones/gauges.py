@@ -5,14 +5,16 @@ the associated gauge is w(a) = min over i,j of v_E(a_ij) + (v(e_i)-v(e_j))/2.
 This module computes gauge values, the gauge ring and ideal, the value set as
 a union of cosets of the base value group, the residue algebra decomposition
 with its residue forms, eigenvalue valuations, and the stable subgroup test
-w(a^{-1}) = -w(a).
+w(a^{-1}) = -w(a).  The adjoint involution itself is a module function, as
+it needs only the form, not its definiteness.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .field import (
     FieldError,
@@ -22,7 +24,7 @@ from .field import (
     RatFunc,
     newton_root_valuations,
 )
-from .algebra import EElement, EKind, ESpec, HermContext, v_E
+from .algebra import EElement, EKind, ESpec, HermContext, hamilton_spec, v_E
 from .matrices import DimensionMismatch, MatE, Singular, reduced_charpoly
 
 
@@ -43,10 +45,11 @@ class GaugeContext:
 
     The form must be definite at P; if every entry is negative the context
     stores the negated form (same adjoint involution, same gauge) and records
-    normalized_sign = -1.
+    normalized_sign = -1.  residue is the residue decomposition, built once
+    with the context.
     """
 
-    __slots__ = ("ctx", "P", "normalized_sign", "_half_vals")
+    __slots__ = ("ctx", "P", "normalized_sign", "_half_vals", "residue")
 
     def __init__(self, ctx: HermContext, P: OrderingSpec):
         signs = {f.sign_at(P) for f in ctx.e}
@@ -58,6 +61,7 @@ class GaugeContext:
         self.ctx = ctx
         self.P = P
         self._half_vals = tuple(f.val().half() for f in ctx.e)
+        self.residue = residue_decomposition(self)
 
     @property
     def n(self) -> int:
@@ -78,17 +82,8 @@ class GaugeContext:
         return self.field.monomial([int(c) for c in d.coords])
 
     def sigma(self, a: MatE) -> MatE:
-        """The adjoint involution Int(e^{-1}) composed with bar-transpose."""
         self._check_size(a)
-        e = self.ctx.e
-        rows = [
-            [
-                a.rows[j][i].conj().scale(e[j] / e[i])
-                for j in range(self.n)
-            ]
-            for i in range(self.n)
-        ]
-        return MatE(self.espec, rows)
+        return adjoint(a, self.ctx)
 
     def is_symmetric(self, a: MatE) -> bool:
         return self.sigma(a) == a
@@ -104,6 +99,16 @@ class GaugeContext:
     def _check_size(self, a: MatE):
         if a.n != self.n or a.m != self.n:
             raise DimensionMismatch(f"expected a {self.n}x{self.n} matrix")
+
+
+def adjoint(a: MatE, ctx: HermContext) -> MatE:
+    """The adjoint involution of (M_n(E), ad_h), Int(e^{-1}) composed with
+    bar-transpose: sigma(a)_ij = conj(a_ji) e_j/e_i."""
+    n, ratios = ctx.n, ctx.ratios
+    return MatE(ctx.espec, [
+        [a.rows[j][i].conj().scale(ratios[j][i]) for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def gauge_value(a: MatE, G: GaugeContext) -> GammaVal:
@@ -130,36 +135,25 @@ def in_gauge_ideal(a: MatE, G: GaugeContext) -> bool:
     return gauge_value(a, G) > GammaVal.zero(G.field.r)
 
 
-@dataclass(frozen=True)
-class CosetSet:
-    """A finite union of cosets of the value group, by canonical representatives
-    with coordinates in [0, 1)."""
-
-    reps: frozenset[GammaVal]
-
-    def __len__(self):
-        return len(self.reps)
-
-
-def value_coset_set(G: GaugeContext) -> CosetSet:
-    """The value set of the gauge as a union of cosets of the value group."""
-    reps = {
-        (G._half_vals[i] - G._half_vals[j]).mod_group(1)
-        for i in range(G.n)
-        for j in range(G.n)
-    }
-    return CosetSet(frozenset(reps))
-
-
-def coset_index(G: GaugeContext) -> int:
-    return len(value_coset_set(G))
-
-
-def form_coset_index(ctx: HermContext) -> int:
-    """Coset index of the gauge value set, from the form alone (it does not
-    depend on the ordering)."""
+def value_coset_set(ctx: HermContext) -> frozenset[GammaVal]:
+    """The value set of the gauge as a union of cosets of the value group, by
+    canonical representatives with coordinates in [0, 1): the classes of
+    (v(e_i) - v(e_j))/2.  It depends on the form alone, not on the ordering."""
     hv = [f.val().half() for f in ctx.e]
-    return len({(a - b).mod_group(1) for a in hv for b in hv})
+    return frozenset((a - b).mod_group(1) for a in hv for b in hv)
+
+
+def coset_index(ctx: HermContext) -> int:
+    return len(value_coset_set(ctx))
+
+
+def square_classes(entries: Sequence[RatFunc]) -> dict[GammaVal, list[int]]:
+    """Indices of the entries grouped by valuation class mod twice the value
+    group, the classes in order of first appearance."""
+    groups: dict[GammaVal, list[int]] = {}
+    for i, f in enumerate(entries):
+        groups.setdefault(f.val().mod_group(2), []).append(i)
+    return groups
 
 
 @dataclass(frozen=True)
@@ -182,38 +176,27 @@ class ResidueDecomposition:
     residue_espec: ESpec
 
 
-def _residue_espec(espec: ESpec) -> ESpec:
+@functools.cache
+def _residue_espec(kind: EKind) -> ESpec:
+    """The residue coefficient algebra over Q, one per kind of E."""
     F0 = FunctionField([])
-    if espec.kind is EKind.BASE:
-        return ESpec(EKind.BASE, F0)
-    if espec.kind is EKind.COMPLEX:
-        return ESpec(EKind.COMPLEX, F0)
-    m1 = F0.from_fraction(-1)
-    return ESpec(EKind.QUAT, F0, m1, m1)
+    return hamilton_spec(F0) if kind is EKind.QUAT else ESpec(kind, F0)
 
 
 def residue_decomposition(G: GaugeContext) -> ResidueDecomposition:
     """Group form indices by valuation class mod twice the value group; the
     residue form of a block collects the leading coefficients of its entries."""
-    order: list[GammaVal] = []
-    groups: dict[GammaVal, list[int]] = {}
-    for i, f in enumerate(G.ctx.e):
-        cls = f.val().mod_group(2)
-        if cls not in groups:
-            groups[cls] = []
-            order.append(cls)
-        groups[cls].append(i)
-    blocks = []
-    for cls in order:
-        idx = tuple(groups[cls])
-        form = tuple(G.ctx.e[i].unit_part_residue() for i in idx)
-        blocks.append(ResidueBlock(cls, idx, form))
-    return ResidueDecomposition(tuple(blocks), _residue_espec(G.espec))
+    e = G.ctx.e
+    blocks = tuple(
+        ResidueBlock(cls, tuple(idx), tuple(e[i].leading_term()[1] for i in idx))
+        for cls, idx in square_classes(e).items()
+    )
+    return ResidueDecomposition(blocks, _residue_espec(G.espec.kind))
 
 
 def is_dubrovin(G: GaugeContext) -> bool:
     """Whether the gauge ring has a single residue block."""
-    return len(residue_decomposition(G).blocks) == 1
+    return len(G.residue.blocks) == 1
 
 
 def residue_element(a: MatE, G: GaugeContext) -> list[MatE]:
@@ -225,7 +208,7 @@ def residue_element(a: MatE, G: GaugeContext) -> list[MatE]:
     """
     if not in_gauge_ring(a, G):
         raise NotInRing("element has negative gauge value")
-    dec = residue_decomposition(G)
+    dec = G.residue
     E0 = dec.residue_espec
     F0 = E0.field
     out = []

@@ -200,7 +200,7 @@ def chi(M: MatE) -> MatE:
     block form holds for (-1,-1)_F only; any other quaternion algebra raises
     WrongKind.
     """
-    if not M.spec.is_hamilton():
+    if not M.spec.hamilton:
         raise WrongKind("complex embedding needs entries in (-1,-1)_F")
     C = complex_spec(M.spec.field)
 

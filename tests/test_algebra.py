@@ -1,7 +1,9 @@
 """Tests for coefficient algebras, the valuation extension, and trace forms."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +13,7 @@ from gaugecones.field import (
     GammaVal,
     INF,
     OrderingSpec,
+    RatFunc,
     enumerate_orderings,
 )
 from gaugecones.algebra import (
@@ -25,7 +28,6 @@ from gaugecones.algebra import (
     SpecMismatch,
     base_spec,
     complex_spec,
-    diag_congruence,
     hamilton_spec,
     quat_spec,
     same_square_class_form,
@@ -220,6 +222,65 @@ class TestTraceForm:
 # Reference trace form: the Gram matrix of Trd(sigma(x) y) on the standard
 # basis, built from the definition and diagonalized by congruence
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CongruenceResult:
+    """D = C^t G C with C invertible; entries of D may include zeros."""
+
+    entries: tuple[RatFunc, ...]
+    transform: tuple[tuple[RatFunc, ...], ...]
+
+
+def diag_congruence(G: Sequence[Sequence[RatFunc]]) -> CongruenceResult:
+    """Diagonalize a symmetric matrix over F by congruence, recording the transform."""
+    n = len(G)
+    if n == 0:
+        return CongruenceResult((), ())
+    field = G[0][0].field
+    A = [list(row) for row in G]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if A[i][j] != A[j][i]:
+                raise ValueError("matrix is not symmetric")
+    C = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, c):
+        # column op A <- A + c * col_src into col_dst, mirrored on rows, tracked in C
+        for t in range(n):
+            A[t][dst] = A[t][dst] + c * A[t][src]
+        for t in range(n):
+            A[dst][t] = A[dst][t] + c * A[src][t]
+        for t in range(n):
+            C[t][dst] = C[t][dst] + c * C[t][src]
+
+    def swap_cols(p, q):
+        for t in range(n):
+            A[t][p], A[t][q] = A[t][q], A[t][p]
+        A[p], A[q] = A[q], A[p]
+        for t in range(n):
+            C[t][p], C[t][q] = C[t][q], C[t][p]
+
+    for k in range(n):
+        if A[k][k].is_zero:
+            pivot = next((t for t in range(k + 1, n) if not A[t][t].is_zero), None)
+            if pivot is not None:
+                swap_cols(k, pivot)
+            else:
+                off = next(
+                    (t for t in range(k + 1, n) if not A[k][t].is_zero), None
+                )
+                if off is None:
+                    continue
+                add_col(k, off, field.one)
+        d = A[k][k]
+        for t in range(k + 1, n):
+            if not A[k][t].is_zero:
+                add_col(t, k, -A[k][t] / d)
+    return CongruenceResult(
+        tuple(A[t][t] for t in range(n)),
+        tuple(tuple(row) for row in C),
+    )
+
 
 FIELDS = [FunctionField(["x", "y", "z"][:r]) for r in (1, 2, 3)]
 SPECS = {"base": base_spec, "complex": complex_spec, "hamilton": hamilton_spec}

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, report emission, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,9 +96,17 @@ class TestMalformedConfig:
             ({"seed": "abc"}, "seed", "must be an integer"),
             ({"sampleCount": 2.5}, "sampleCount", "must be an integer"),
             ({"analyses": "gauge"}, "analyses", "must be a list"),
+            ({"ordering": [None, 1]}, "ordering", "each -1 or 1"),
+            ({"ordering": [1.5, 1]}, "ordering", "each -1 or 1"),
+            ({"ordering": [True, 1]}, "ordering", "each -1 or 1"),
+            ({"ordering": ["1", 1]}, "ordering", "each -1 or 1"),
+            ({"algebra": {"variant": "matrix", "kind": ["base"], "form": ["1", "x"]}},
+             "algebra.kind", "unknown coefficient kind"),
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
-             "form-entry-int", "seed-string", "sampleCount-float", "analyses-string"],
+             "form-entry-int", "seed-string", "sampleCount-float", "analyses-string",
+             "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
+             "kind-list"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         path = write_config(tmp_path, dict(BASE_DOC, **patch))
@@ -105,6 +114,22 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert f"configuration error: {location}: " in err
         assert message in err
+
+
+class TestAllOrderingsBound:
+    def test_too_many_variables_exit_2_before_enumerating(self, tmp_path, capsys,
+                                                          monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "enumerate_orderings", lambda r: built.append(r) or [])
+        wide = [f"x{i}" for i in range(cli.MAX_ALL_ORDERING_VARS + 1)]
+        doc = {"vars": wide, "algebra": {"variant": "matrix", "form": ["1"]},
+               "ordering": "ALL", "analyses": []}
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        assert "configuration error: ordering: " in capsys.readouterr().err
+        assert built == []
+        # at the bound, ALL is still enumerated
+        parse_config(dict(doc, vars=wide[:-1]))
+        assert built == [cli.MAX_ALL_ORDERING_VARS]
 
 
 class TestRun:
@@ -220,3 +245,32 @@ class TestViolationDetection:
 
     def test_clean_report(self):
         assert not report_has_violations({"C0": {"tried": 3, "violations": []}})
+
+
+QUATDIV_DOC = {
+    "vars": ["x", "y"],
+    "algebra": {"variant": "quatdiv", "a": "x*(1+y)", "b": "-y^3/2", "involution": "int_i_gamma"},
+    "analyses": ["lift", "nil", "wadth"],
+}
+
+# (golden file, config document or None for a scenario, CLI arguments);
+# the files hold the CLI's stdout, captured with the same arguments
+GOLDEN_CASES = [
+    ("bk2_example.json", None, ["--scenario", "bk2_example"]),
+    ("m6_index_example.json", None, ["--scenario", "m6_index_example"]),
+    ("base_all.json", dict(BASE_DOC, analyses=list(cli.ANALYSES)),
+     ["--seed", "3", "--samples", "8"]),
+    ("base_all.txt", dict(BASE_DOC, analyses=list(cli.ANALYSES)),
+     ["--seed", "3", "--samples", "8", "--format", "text"]),
+    ("quatdiv.json", QUATDIV_DOC, []),
+]
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name, doc, args", GOLDEN_CASES,
+                             ids=[case[0] for case in GOLDEN_CASES])
+    def test_output_matches_golden_file(self, tmp_path, capsysbinary, name, doc, args):
+        argv = ["run"] + ([] if doc is None else [write_config(tmp_path, doc)]) + args
+        main(argv)
+        assert capsysbinary.readouterr().out == (GOLDEN_DIR / name).read_bytes()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaugecones import gauges
 from gaugecones.field import FunctionField, GammaVal, OrderingSpec, enumerate_orderings
 from gaugecones.algebra import (
     HermContext,
@@ -17,7 +18,7 @@ from gaugecones.algebra import (
     hamilton_spec,
 )
 from gaugecones.matrices import MatE
-from gaugecones.gauges import in_gauge_ring, residue_element
+from gaugecones.gauges import adjoint, in_gauge_ring, residue_element
 from gaugecones.cones import (
     AnisotropyResult,
     ConeSpec,
@@ -269,6 +270,30 @@ class TestNil:
             nil_orderings(HermContext(base_spec(F2), (F2.one,)))
 
 
+class TestResidueOncePerGauge:
+    def test_one_decomposition_per_gauge(self, F2, monkeypatch):
+        decompose = gauges.residue_decomposition
+        calls = []
+        monkeypatch.setattr(gauges, "residue_decomposition",
+                            lambda G: calls.append(G) or decompose(G))
+        x, _ = F2.vars()
+        C = make_cone(F2, [F2.one, x])
+        assert calls == [C.gauge()]
+        compatibility_suite(C, sample_count=5, seed=0)
+        # the suite reads the stored decomposition; only the residue cone's
+        # block gauges are new, each decomposed once at construction
+        assert sum(G is C.gauge() for G in calls) == 1
+        assert len({id(G) for G in calls}) == len(calls) == 3
+
+
+def isotropy_sum(coeffs, xs, ctx):
+    """sum sigma(x_i) a_i x_i, with the adjoint of the form of ctx."""
+    acc = MatE.zeros(ctx.espec, ctx.n)
+    for f, x in zip(coeffs, xs):
+        acc = acc + (adjoint(x, ctx) * x).scale(f)
+    return acc
+
+
 class TestAnisotropy:
     def test_units_certified(self, F2):
         ctx = HermContext(base_spec(F2), (F2.one, F2.one))
@@ -296,3 +321,19 @@ class TestAnisotropy:
         ctx = HermContext(base_spec(F2), (F2.one,))
         res = anisotropy_certificate([F2.one, x], ctx, OrderingSpec((-1, 1)))
         assert res.status == "UNKNOWN"
+
+    def test_indefinite_form_witness(self, F2):
+        # <1, x> is indefinite at eta = (-1, 1) and its ratios e_j/e_i are
+        # x and 1/x, so the adjoint's direction matters
+        x, _ = F2.vars()
+        ctx = HermContext(base_spec(F2), (F2.one, x))
+        coeffs = [F2.one, -F2.one]
+        res = anisotropy_certificate(coeffs, ctx, OrderingSpec((-1, 1)))
+        assert res.status == "UNKNOWN"
+        assert any(not w.is_zero for w in res.falsifier)
+        assert isotropy_sum(coeffs, res.falsifier, ctx).is_zero
+        # a non-scalar witness (u, 1): u = [[a, -x c], [c, a]] with
+        # a^2 + x c^2 = 1 is unitary, sigma(u) u = 1, only for e_j/e_i
+        a, c = (1 - x) / (1 + x), 2 / (1 + x)
+        u = MatE.from_scalar_rows(ctx.espec, [[a, -x * c], [c, a]])
+        assert isotropy_sum(coeffs, (u, MatE.identity(ctx.espec, 2)), ctx).is_zero

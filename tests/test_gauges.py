@@ -150,18 +150,18 @@ class TestGaugeValue:
 class TestCosets:
     def test_small_indices(self, F2):
         x, _ = F2.vars()
-        assert coset_index(make_context(F2, [F2.one, F2.one])) == 1
+        assert coset_index(make_context(F2, [F2.one, F2.one]).ctx) == 1
         G = make_context(F2, [F2.one, x])
-        assert coset_index(G) == 2
-        reps = value_coset_set(G).reps
+        assert coset_index(G.ctx) == 2
+        reps = value_coset_set(G.ctx)
         assert GammaVal([0, 0]) in reps
         assert GammaVal([Fraction(1, 2), 0]) in reps
 
     def test_index_one_iff_even_classes(self, F2):
         x, y = F2.vars()
-        assert coset_index(make_context(F2, [F2.one, x ** 2 * y ** 2])) == 1
-        assert coset_index(make_context(F2, [x, x ** 3])) == 1
-        assert coset_index(make_context(F2, [F2.one, x * y])) == 2
+        assert coset_index(make_context(F2, [F2.one, x ** 2 * y ** 2]).ctx) == 1
+        assert coset_index(make_context(F2, [x, x ** 3]).ctx) == 1
+        assert coset_index(make_context(F2, [F2.one, x * y]).ctx) == 2
 
 
 class TestResidueDecomposition:
