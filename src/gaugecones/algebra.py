@@ -318,6 +318,24 @@ class HermContext:
         """ratios[i][j] = e_i/e_j, computed once per form."""
         return tuple(tuple(ei / ej for ej in self.e) for ei in self.e)
 
+    @functools.cached_property
+    def half_vals(self) -> tuple[GammaVal, ...]:
+        """v(e_i)/2, the shifts of the gauge, computed once per form."""
+        return tuple(f.val().half() for f in self.e)
+
+    @functools.cached_property
+    def negated(self) -> "HermContext":
+        """The form -h: the same adjoint involution and gauge, built once per
+        form, with caches of its own."""
+        return HermContext(self.espec, tuple(-f for f in self.e))
+
+    @functools.cached_property
+    def residue(self):
+        """The residue decomposition of the gauge of h (see
+        gauges.residue_decomposition), built once per form."""
+        from .gauges import residue_decomposition  # gauges builds on this module
+        return residue_decomposition(self)
+
     @property
     def n(self) -> int:
         return len(self.e)
@@ -348,6 +366,7 @@ class QuatDivSpec:
     def field(self) -> FunctionField:
         return self.a.field
 
+    @functools.cached_property
     def espec(self) -> ESpec:
         return quat_spec(self.field, self.a, self.b)
 
@@ -386,7 +405,7 @@ def trace_form(spec: AlgebraSpec) -> DiagForm:
     then j.  On (a,b)_F the basis 1, i, j, k gives trd(sigma(q) q).
     """
     if isinstance(spec, QuatDivSpec):
-        return DiagForm(tuple((spec.apply(q) * q).trd() for q in spec.espec().basis()))
+        return DiagForm(tuple((spec.apply(q) * q).trd() for q in spec.espec.basis()))
     norms = [(q.conj() * q).trd() for q in spec.espec.basis()]
     return DiagForm(tuple(r * t for t in norms for row in spec.ratios for r in row))
 

@@ -20,7 +20,14 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .field import FieldError, FunctionField, GammaVal, OrderingSpec, enumerate_orderings
+from .field import (
+    FieldError,
+    FunctionField,
+    GammaVal,
+    OrderingCoset,
+    OrderingSpec,
+    enumerate_orderings,
+)
 from .algebra import (
     HermContext,
     Involution,
@@ -34,6 +41,7 @@ from .gauges import coset_index, is_dubrovin, value_coset_set
 from .cones import (
     ConeSpec,
     check_prepositive_axioms,
+    common_sign_orderings,
     compatibility_suite,
     lift_set,
     nil_orderings,
@@ -52,8 +60,10 @@ ANALYSES = (
     "quatmat-selftest",
 )
 
-# "ordering": "ALL" enumerates 2^r orderings; configs with more variables
-# than this must name one ordering
+# "ordering": "ALL" runs the per-ordering analyses at all 2^r orderings;
+# configs with more variables than this must name one ordering.  The lift and
+# nil reports list their orderings up to this many variables, and above it
+# give the particular solution, the directions and the count instead
 MAX_ALL_ORDERING_VARS = 16
 
 
@@ -170,6 +180,20 @@ def fmt_gamma(v: GammaVal) -> str:
     return "(" + ", ".join(str(c) for c in v.coords) + ")"
 
 
+def _orderings_json(S: OrderingCoset):
+    """A solved set of orderings: listed up to MAX_ALL_ORDERING_VARS
+    variables; above, the orderings particular * d, d in the group the
+    directions generate (sign vectors multiply entrywise), and their count."""
+    if S.r <= MAX_ALL_ORDERING_VARS:
+        return [fmt_eta(P) for P in S]
+    return {
+        "count": S.count,
+        "particular": None if S.particular is None
+        else fmt_eta(OrderingSpec.from_bits(S.particular, S.r)),
+        "directions": [fmt_eta(OrderingSpec.from_bits(d, S.r)) for d in S.directions],
+    }
+
+
 def _tallies(report) -> dict:
     return {
         name: {"tried": r.tried, "violations": [repr(w) for w in r.violations]}
@@ -246,11 +270,11 @@ def _run_per_ordering(name: str, cfg) -> dict:
     algebra = cfg["algebra"]
     if not isinstance(algebra, HermContext):
         return {"note": f"{analysis.noun} analysis applies to matrix presentations only"}
+    definite = common_sign_orderings(algebra.e)
     per = {}
     for P in cfg["orderings"]:
-        C = ConeSpec(algebra, P)
-        if C.valid:
-            report = analysis.at(C, cfg)
+        if P in definite:
+            report = analysis.at(ConeSpec(algebra, P), cfg)
             if analysis.first_only:
                 return report
             per[fmt_eta(P)] = report
@@ -265,10 +289,10 @@ def _analysis_lift(cfg) -> dict:
     report = lift_set(cfg["algebra"])
     return {
         "traceForm": [str(f) for f in report.trace_entries],
-        "liftable": [fmt_eta(P) for P in report.liftable],
+        "liftable": _orderings_json(report.lifting),
         "epsilons": list(report.epsilons),
         "harrisonGenerators": [str(g) for g in report.harrison_generators],
-        "harrisonSet": [fmt_eta(P) for P in report.harrison_set],
+        "harrisonSet": _orderings_json(report.harrison),
         "harrisonMatches": report.harrison_matches,
     }
 
@@ -277,7 +301,13 @@ def _analysis_nil(cfg) -> dict:
     algebra = cfg["algebra"]
     if not isinstance(algebra, QuatDivSpec):
         return {"nil": [], "note": "split matrix presentations have no nil orderings"}
-    return {"nil": [fmt_eta(P) for P in nil_orderings(algebra).nil]}
+    report = nil_orderings(algebra)
+    if not report.complement:
+        return {"nil": _orderings_json(report.division)}
+    if algebra.field.r <= MAX_ALL_ORDERING_VARS:
+        return {"nil": [fmt_eta(P) for P in report.nil]}
+    return {"nil": {"count": report.count,
+                    "complementOf": _orderings_json(report.division)}}
 
 
 def _analysis_wadth(cfg) -> dict:

@@ -21,9 +21,11 @@ from .field import (
     FieldError,
     FunctionField,
     GammaVal,
+    OrderingCoset,
     OrderingSpec,
     RatFunc,
     enumerate_orderings,
+    solve_sign_system,
 )
 from .algebra import (
     AlgebraSpec,
@@ -155,15 +157,14 @@ def sample_cone(C: ConeSpec, S: Optional[Sequence[MatE]] = None,
     return out
 
 
-def _scale_into_ring(a: MatE, G: GaugeContext, strict: bool = False) -> RatFunc:
-    """A square scalar u with u*a in the gauge ring (ideal when strict);
-    returns u (multiply the caller's related elements by the same u)."""
-    w = gauge_value(a, G)
+def _scale_into_ring(w: GammaVal, F: FunctionField, strict: bool = False) -> RatFunc:
+    """A square scalar u with u*a in the gauge ring (ideal when strict) for
+    any a of gauge value w; multiply the caller's related elements by the
+    same u."""
     if w.is_inf:
-        return G.field.one
-    target = [-c / 2 for c in w.coords]
-    exps = [math.ceil(t) + (1 if strict else 0) for t in target]
-    m = G.field.monomial(exps)
+        return F.one
+    exps = [math.ceil(Fraction(-c, 2)) + (1 if strict else 0) for c in w.coords]
+    m = F.monomial(exps)
     return m * m
 
 
@@ -236,6 +237,7 @@ def compatibility_suite(C: ConeSpec, sample_count: int = 200,
     """
     rng = random.Random(seed)
     G = C.gauge()
+    F = C.field
     names = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "complicated"]
     res = {k: ConditionResult() for k in names}
 
@@ -249,39 +251,39 @@ def compatibility_suite(C: ConeSpec, sample_count: int = 200,
     for k in range(sample_count):
         a, c = sample_cone(C, count=2, rng=rng)
         b = a + c
+        wa, wb = gauge_value(a, G), gauge_value(b, G)
 
         # C0: w(a + c) = min(w(a), w(c)) on members
-        check("C0", gauge_value(b, G) == min(gauge_value(a, G), gauge_value(c, G)),
-              (k, "C0"))
+        check("C0", wb == min(wa, gauge_value(c, G)), (k, "C0"))
 
         # C1: 0 <= a <= b gives w(b) <= w(a)
         if not a.is_zero:
-            check("C1", not gauge_value(a, G) < gauge_value(b, G), (k, "C1"))
+            check("C1", not wa < wb, (k, "C1"))
 
         # C2: scale the sandwich into the ring, membership of the bound
         # forces membership of the inner element
-        u = _scale_into_ring(b, G)
+        u = _scale_into_ring(wb, F)
         check("C2", in_gauge_ring(a.scale(u), G) and in_gauge_ring(b.scale(u), G),
               (k, "C2"))
 
         # C3: same with the ideal
-        u = _scale_into_ring(b, G, strict=True)
+        u = _scale_into_ring(wb, F, strict=True)
         check("C3", in_gauge_ideal(a.scale(u), G) and in_gauge_ideal(b.scale(u), G),
               (k, "C3"))
 
-        # C4: difference of ideal members is sandwiched: -(a+c) <= a-c <= a+c
-        ua = _scale_into_ring(b, G, strict=True)
-        d = (a - c).scale(ua)
+        # C4: difference of ideal members is sandwiched: -(a+c) <= a-c <= a+c,
+        # scaled by the same u
+        d = (a - c).scale(u)
         check("C4", in_gauge_ideal(d, G), (k, "C4"))
 
         # C6: member of the ideal is strictly below 1
-        m = a.scale(_scale_into_ring(a, G, strict=True))
+        m = a.scale(_scale_into_ring(wa, F, strict=True))
         check("C6", cone_member(one_mat - m, C) and m != one_mat, (k, "C6"))
 
         # C7: 1 + symmetric ideal element is a member
         x = random_matrix(C.espec, C.n, rng)
         s = G.sigma(x) + x
-        s = s.scale(_scale_into_ring(s, G, strict=True))
+        s = s.scale(_scale_into_ring(gauge_value(s, G), F, strict=True))
         check("C7", cone_member(one_mat + s, C), (k, "C7"))
 
         # perturbation of a member with invertible residue
@@ -366,38 +368,63 @@ def lift_exists(spec: AlgebraSpec, P: OrderingSpec) -> bool:
     On (M_n(E), ad_h) the trace form is <positive constants> (x) h (x) h^-1,
     definite at P iff the entries e_i of h share a sign there.
     """
-    entries = spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
-    return len({f.sign_at(P) for f in entries}) == 1
+    return len({f.sign_at(P) for f in _definiteness_entries(spec)}) == 1
+
+
+def _definiteness_entries(spec: AlgebraSpec) -> tuple[RatFunc, ...]:
+    """Entries whose sharing a sign at P is definiteness of the trace form."""
+    return spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
+
+
+def common_sign_orderings(entries: Sequence[RatFunc]) -> OrderingCoset:
+    """The orderings at which the entries all share a sign.
+
+    With sign_P(f) = (-1)^(s_f + <a_f, t>) this is the system
+    <a_k + a_0, t> = s_k + s_0 over GF(2): empty or 2^(r - rank) orderings.
+    """
+    (a0, s0), *rest = (f.sign_character() for f in entries)
+    return solve_sign_system(entries[0].field.r, ((a ^ a0, s ^ s0) for a, s in rest))
+
+
+def liftable_orderings(spec: AlgebraSpec) -> OrderingCoset:
+    """The orderings over which the residue cone lifts (lift_exists), solved
+    at once: on M_n(E) they are the orderings where h is definite."""
+    return common_sign_orderings(_definiteness_entries(spec))
 
 
 @dataclass
 class LiftReport:
-    base_orderings: tuple[OrderingSpec, ...]
-    liftable: tuple[OrderingSpec, ...]
     trace_entries: tuple[RatFunc, ...]
     epsilons: tuple[int, ...]  # per valuation class; 0 marks a mixed class
     harrison_generators: tuple[RatFunc, ...]
-    harrison_set: tuple[OrderingSpec, ...]
+    lifting: OrderingCoset  # the liftable orderings
+    harrison: OrderingCoset  # the Harrison set of the generators
+
+    @property
+    def liftable(self) -> tuple[OrderingSpec, ...]:
+        return tuple(self.lifting)
+
+    @property
+    def harrison_set(self) -> tuple[OrderingSpec, ...]:
+        return tuple(self.harrison)
 
     @property
     def harrison_matches(self) -> bool:
-        return self.liftable == self.harrison_set
+        return self.lifting == self.harrison
 
 
 def lift_set(spec: AlgebraSpec) -> LiftReport:
-    """All liftable orderings, with the Harrison-set cross-characterization.
+    """The liftable orderings, with the Harrison-set cross-characterization.
 
     Trace-form entries are grouped by valuation class mod twice the value
     group; a class is assigned the common sign of its leading coefficients
     (mixed classes admit no lifting at all).  An ordering is liftable iff
     sign(epsilon_l) eta(rho_l) is constant over the classes, i.e. iff it lies
-    in the Harrison set of the epsilon_l rho_l or of their negatives.
+    in the Harrison set of the epsilon_l rho_l or of their negatives.  Both
+    sets are solved as sign systems, and compared in canonical form.
     """
     tf = trace_form(spec)
     F = spec.field
-    orderings = tuple(enumerate_orderings(F.r))
-    liftable = tuple(P for P in orderings if lift_exists(spec, P))
-
     epsilons = []
     generators = []
     for cls, idx in square_classes(tf.entries).items():
@@ -407,18 +434,13 @@ def lift_set(spec: AlgebraSpec) -> LiftReport:
             continue
         eps = signs.pop()
         epsilons.append(eps)
-        generators.append(F.monomial([int(c) for c in cls.coords], eps))
+        generators.append(F.monomial(cls.coords, eps))
     if 0 in epsilons:
-        harrison = ()
+        harrison = OrderingCoset(F.r, None)
     else:
-        harrison = tuple(
-            P
-            for P in orderings
-            if len({g.sign_at(P) for g in generators}) == 1
-        )
-    return LiftReport(
-        orderings, liftable, tf.entries, tuple(epsilons), tuple(generators), harrison
-    )
+        harrison = common_sign_orderings(generators)
+    return LiftReport(tf.entries, tuple(epsilons), tuple(generators),
+                      liftable_orderings(spec), harrison)
 
 
 @dataclass
@@ -431,20 +453,33 @@ class WadthResult:
 def wadth_check(spec: AlgebraSpec) -> WadthResult:
     """Every ordering lifts iff the gauge value set is the base value group,
     in which case the number of liftings is the full count of orderings."""
-    orderings = enumerate_orderings(spec.field.r)
-    lift_count = sum(lift_exists(spec, P) for P in orderings)
+    lift_count = liftable_orderings(spec).count
     if isinstance(spec, HermContext):
         index_one = coset_index(spec) == 1
     else:
         va, vb = spec.a.val(), spec.b.val()
         zero = GammaVal.zero(spec.field.r)
         index_one = va.mod_group(2) == zero and vb.mod_group(2) == zero
-    return WadthResult(lift_count == len(orderings), index_one, lift_count)
+    return WadthResult(lift_count == 1 << spec.field.r, index_one, lift_count)
 
 
 @dataclass
 class NilReport:
-    nil: tuple[OrderingSpec, ...]
+    division: OrderingCoset  # the orderings where a and b are both negative
+    complement: bool  # the nil orderings are those outside division
+
+    @property
+    def count(self) -> int:
+        if self.complement:
+            return (1 << self.division.r) - self.division.count
+        return self.division.count
+
+    @property
+    def nil(self) -> tuple[OrderingSpec, ...]:
+        if not self.complement:
+            return tuple(self.division)
+        return tuple(P for P in enumerate_orderings(self.division.r)
+                     if P not in self.division)
 
 
 def nil_orderings(spec) -> NilReport:
@@ -453,18 +488,14 @@ def nil_orderings(spec) -> NilReport:
     For quaternion conjugation (symplectic) these are the orderings where
     (a,b) splits; for Int(i) composed with conjugation (orthogonal) the
     orderings where (a,b) stays division, i.e. where a and b are both
-    negative.
+    negative: the sign system <a_f, t> = 1 + s_f for f = a, b.
     """
     if not isinstance(spec, QuatDivSpec):
         raise UnsupportedVariant("nil orderings are computed for quaternion algebras")
-    F = spec.field
-    out = []
-    for P in enumerate_orderings(F.r):
-        division = spec.a.sign_at(P) == -1 and spec.b.sign_at(P) == -1
-        is_nil = division if spec.inv is Involution.INT_I_GAMMA else not division
-        if is_nil:
-            out.append(P)
-    return NilReport(tuple(out))
+    division = solve_sign_system(
+        spec.field.r, ((a, 1 ^ s) for a, s in (spec.a.sign_character(),
+                                                  spec.b.sign_character())))
+    return NilReport(division, spec.inv is Involution.GAMMA)
 
 
 # ---------------------------------------------------------------------------

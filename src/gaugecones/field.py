@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from sympy import ZZ
 from sympy.polys.fields import field as _sympy_field
@@ -66,7 +66,8 @@ class GammaVal:
 
     Finite values are vectors of rationals compared lexicographically with
     coordinate 0 most significant; infinity exceeds every finite value and
-    absorbs addition.
+    absorbs addition.  Coordinates are kept as given: the valuations of field
+    elements are integers, and only half and scale make Fractions.
     """
 
     __slots__ = ("coords",)
@@ -75,7 +76,7 @@ class GammaVal:
         if coords is _INF_MARKER:
             self.coords = None
         else:
-            self.coords = tuple(Fraction(c) for c in coords)
+            self.coords = tuple(coords)
 
     @classmethod
     def infinity(cls) -> "GammaVal":
@@ -172,18 +173,136 @@ class OrderingSpec:
                 s *= eta_i
         return s
 
+    @property
+    def bits(self) -> int:
+        """The sign vector as a vector t over GF(2): bit r-1-i is set iff
+        eta_i = -1, so coordinate 0 is the most significant bit."""
+        t = 0
+        for s in self.eta:
+            t = (t << 1) | (s < 0)
+        return t
+
+    @classmethod
+    def from_bits(cls, t: int, r: int) -> "OrderingSpec":
+        return cls(tuple(-1 if t >> (r - 1 - i) & 1 else 1 for i in range(r)))
+
     def __repr__(self):
         return "OrderingSpec(" + "".join("+" if s > 0 else "-" for s in self.eta) + ")"
 
 
 def enumerate_orderings(r: int) -> list[OrderingSpec]:
-    """All 2^r compatible orderings, lexicographic on sign vectors (-1 first)."""
+    """All 2^r compatible orderings, lexicographic on sign vectors (-1 first),
+    that is with their bits descending from 2^r - 1 to 0."""
     if r < 0:
         raise ValueError("r must be >= 0")
     specs = [OrderingSpec(())]
     for _ in range(r):
         specs = [OrderingSpec(s.eta + (e,)) for s in specs for e in (-1, 1)]
     return specs
+
+
+# ---------------------------------------------------------------------------
+# Sign systems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OrderingCoset:
+    """The orderings solving a sign system: none, or the sign vectors
+    particular * d for d in the group generated by the directions.
+
+    On bits (OrderingSpec.bits) this is empty or an affine subspace of
+    GF(2)^r, kept canonical: the directions are fully reduced (each one's
+    leading bit is set in no other) and descending, and the particular
+    solution is clear at every leading bit.  Equal sets are equal objects.
+    """
+
+    r: int
+    particular: Optional[int]  # None when the system has no solution
+    directions: tuple[int, ...] = ()
+
+    @property
+    def count(self) -> int:
+        return 0 if self.particular is None else 1 << len(self.directions)
+
+    def __contains__(self, P: OrderingSpec) -> bool:
+        if self.particular is None:
+            return False
+        t = P.bits ^ self.particular
+        for d in self.directions:
+            if t >> (d.bit_length() - 1) & 1:
+                t ^= d
+        return not t
+
+    def __iter__(self) -> Iterator[OrderingSpec]:
+        """The solutions in the order of enumerate_orderings.
+
+        With the canonical form, the solution with direction mask c (bit
+        k-1-j for direction j) is the larger one exactly when c is, so c
+        runs down from 2^k - 1."""
+        if self.particular is None:
+            return
+        k = len(self.directions)
+        for c in range((1 << k) - 1, -1, -1):
+            t = self.particular
+            for j, d in enumerate(self.directions):
+                if c >> (k - 1 - j) & 1:
+                    t ^= d
+            yield OrderingSpec.from_bits(t, self.r)
+
+
+def solve_sign_system(r: int, equations: Iterable[tuple[int, int]]) -> OrderingCoset:
+    """The t in GF(2)^r with <a, t> = b for every equation (a, b), a an
+    r-bit mask; with the sign character of RatFunc, "f has sign (-1)^b at P"
+    is the equation <a_f, t> = b + s_f.
+
+    One Gaussian elimination keyed by leading bit, then back-substitution
+    with the free bits at 0 for the particular solution, and one null-space
+    vector per free bit: O(m r) word operations for m equations."""
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> equation
+    for a, b in equations:
+        while a:
+            lead = a.bit_length() - 1
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = (a, b)
+                break
+            a, b = a ^ row[0], b ^ row[1]
+        else:
+            if b:
+                return OrderingCoset(r, None)
+    order = sorted(rows)
+
+    def substitute(t: int, rhs: bool) -> int:
+        # each row's other bits lie below its leading bit, so ascending
+        # leading bits meet them already solved
+        for lead in order:
+            a, b = rows[lead]
+            if ((a & t).bit_count() + (b if rhs else 0)) & 1:
+                t |= 1 << lead
+        return t
+
+    directions = _reduced_echelon(
+        substitute(1 << f, False) for f in range(r) if f not in rows)
+    t = substitute(0, True)
+    for d in directions:
+        if t >> (d.bit_length() - 1) & 1:
+            t ^= d
+    return OrderingCoset(r, t, directions)
+
+
+def _reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
+    """A basis of the span with distinct leading bits, each set in its own
+    vector only, in descending order: the canonical basis of the span."""
+    basis: list[int] = []
+    for v in vectors:
+        for w in basis:
+            if v >> (w.bit_length() - 1) & 1:
+                v ^= w
+        if v:
+            lead = v.bit_length() - 1
+            basis = [w ^ v if w >> lead & 1 else w for w in basis]
+            basis.append(v)
+    return tuple(sorted(basis, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +539,16 @@ class RatFunc:
         en, cn = _lex_min_term(self._f.numer)
         ed, cd = _lex_min_term(self._f.denom)
         return tuple(a - b for a, b in zip(en, ed)), Fraction(int(cn), int(cd))
+
+    def sign_character(self) -> tuple[int, int]:
+        """(a, s) with sign_P(self) = (-1)^(s + <a, P.bits>) at every ordering
+        P: a holds the odd coordinates of the valuation as bits (coordinate 0
+        most significant), s = 1 iff the leading coefficient is negative."""
+        exps, coeff = self.leading_term()
+        a = 0
+        for e in exps:
+            a = (a << 1) | (e & 1)
+        return a, int(coeff < 0)
 
     def sign_at(self, P: OrderingSpec) -> int:
         """Sign of the element at the compatible ordering P."""

@@ -45,11 +45,12 @@ class GaugeContext:
 
     The form must be definite at P; if every entry is negative the context
     stores the negated form (same adjoint involution, same gauge) and records
-    normalized_sign = -1.  residue is the residue decomposition, built once
-    with the context.
+    normalized_sign = -1.  residue is the residue decomposition; it and the
+    shifts v(e_i)/2 are read from the form's caches, so the gauges of one
+    form at many orderings share them.
     """
 
-    __slots__ = ("ctx", "P", "normalized_sign", "_half_vals", "residue")
+    __slots__ = ("ctx", "P", "normalized_sign", "residue")
 
     def __init__(self, ctx: HermContext, P: OrderingSpec):
         signs = {f.sign_at(P) for f in ctx.e}
@@ -57,11 +58,10 @@ class GaugeContext:
             raise IndefiniteForm("form entries must share a strict sign at P")
         self.normalized_sign = signs.pop()
         if self.normalized_sign < 0:
-            ctx = HermContext(ctx.espec, tuple(-f for f in ctx.e))
+            ctx = ctx.negated
         self.ctx = ctx
         self.P = P
-        self._half_vals = tuple(f.val().half() for f in ctx.e)
-        self.residue = residue_decomposition(self)
+        self.residue = ctx.residue
 
     @property
     def n(self) -> int:
@@ -78,7 +78,8 @@ class GaugeContext:
     def shift_monomial(self, i: int, j: int) -> RatFunc:
         """The gauge shift x^((v(e_i) - v(e_j))/2) between two indices of one
         residue block, where the exponent is integral."""
-        d = self._half_vals[i] - self._half_vals[j]
+        hv = self.ctx.half_vals
+        d = hv[i] - hv[j]
         return self.field.monomial([int(c) for c in d.coords])
 
     def sigma(self, a: MatE) -> MatE:
@@ -115,7 +116,7 @@ def gauge_value(a: MatE, G: GaugeContext) -> GammaVal:
     """w(a) = min over i,j of v_E(a_ij) + (v(e_i) - v(e_j))/2; INF iff a = 0."""
     G._check_size(a)
     best = GammaVal.infinity()
-    hv = G._half_vals
+    hv = G.ctx.half_vals
     for i in range(G.n):
         for j in range(G.n):
             x = a.rows[i][j]
@@ -139,7 +140,7 @@ def value_coset_set(ctx: HermContext) -> frozenset[GammaVal]:
     """The value set of the gauge as a union of cosets of the value group, by
     canonical representatives with coordinates in [0, 1): the classes of
     (v(e_i) - v(e_j))/2.  It depends on the form alone, not on the ordering."""
-    hv = [f.val().half() for f in ctx.e]
+    hv = ctx.half_vals
     return frozenset((a - b).mod_group(1) for a in hv for b in hv)
 
 
@@ -183,15 +184,16 @@ def _residue_espec(kind: EKind) -> ESpec:
     return hamilton_spec(F0) if kind is EKind.QUAT else ESpec(kind, F0)
 
 
-def residue_decomposition(G: GaugeContext) -> ResidueDecomposition:
+def residue_decomposition(ctx: HermContext) -> ResidueDecomposition:
     """Group form indices by valuation class mod twice the value group; the
-    residue form of a block collects the leading coefficients of its entries."""
-    e = G.ctx.e
+    residue form of a block collects the leading coefficients of its entries.
+    It depends on the form alone; HermContext.residue holds it."""
+    e = ctx.e
     blocks = tuple(
         ResidueBlock(cls, tuple(idx), tuple(e[i].leading_term()[1] for i in idx))
         for cls, idx in square_classes(e).items()
     )
-    return ResidueDecomposition(blocks, _residue_espec(G.espec.kind))
+    return ResidueDecomposition(blocks, _residue_espec(ctx.espec.kind))
 
 
 def is_dubrovin(G: GaugeContext) -> bool:

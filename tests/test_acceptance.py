@@ -121,7 +121,7 @@ def test_criterion_03_coset_index_phi():
         ctx = HermContext(base_spec(F), (F.one, x1, x2, x3, x4, x1 * x2 * x3 * x4))
         assert coset_index(ctx) == 16
         G = GaugeContext(ctx, OrderingSpec((1, 1, 1, 1)))
-        assert len({(a - b).mod_group(1) for a in G._half_vals for b in G._half_vals}) == 16
+        assert len({(a - b).mod_group(1) for a in G.ctx.half_vals for b in G.ctx.half_vals}) == 16
 
 
 def test_criterion_04_coset_index_psi_vs_brute_force():
@@ -328,7 +328,7 @@ def test_criterion_12_residue_structure():
             entries = random_form(F, rng, rng.randint(1, 5), signed=False)
             ctx = HermContext(base_spec(F), entries)
             G = GaugeContext(ctx, OrderingSpec((1, 1)))
-            dec = residue_decomposition(G)
+            dec = residue_decomposition(G.ctx)
 
             covered = sorted(i for b in dec.blocks for i in b.indices)
             assert covered == list(range(len(entries)))

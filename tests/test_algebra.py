@@ -311,7 +311,7 @@ def _trd_of_product(a, b):
 def reference_trace_form(spec):
     """Diagonal entries of the full Gram matrix, diagonalized by congruence."""
     if isinstance(spec, QuatDivSpec):
-        basis = spec.espec().basis()
+        basis = spec.espec.basis()
         i = basis[1]
 
         def sigma(u):

@@ -132,6 +132,45 @@ class TestAllOrderingsBound:
         assert built == [cli.MAX_ALL_ORDERING_VARS]
 
 
+class TestWideField:
+    """lift, nil and wadth solve for the orderings instead of enumerating
+    them, so a config naming one ordering runs at any number of variables."""
+
+    R = 40
+
+    def run_wide(self, tmp_path, capsys, algebra, analyses):
+        doc = {"vars": [f"x{i}" for i in range(self.R)], "algebra": algebra,
+               "ordering": [1] * self.R, "analyses": analyses}
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        return json.loads(capsys.readouterr().out)["analyses"]
+
+    def test_matrix(self, tmp_path, capsys):
+        # definite at the all-plus ordering; x1 x5 and x0 must be positive
+        out = self.run_wide(tmp_path, capsys, {
+            "variant": "matrix", "kind": "hamilton", "form": ["1", "x1*x5", "3*x0^3"]},
+            ["gauge", "residue", "lift", "wadth"])
+        count = 1 << (self.R - 2)
+        assert out["wadth"]["liftCount"] == count
+        lift = out["lift"]
+        assert lift["harrisonMatches"] is True
+        assert lift["liftable"] == lift["harrisonSet"]
+        assert lift["liftable"]["count"] == count
+        assert lift["liftable"]["particular"] == "+" * self.R
+        assert len(lift["liftable"]["directions"]) == self.R - 2
+        assert out["gauge"]["orderings"]["+" * self.R]["valid"] is True
+
+    def test_quatdiv(self, tmp_path, capsys):
+        # (x3 (1 + x4), -x9^3/2) is division where x3 < 0 and x9 > 0
+        out = self.run_wide(tmp_path, capsys, {
+            "variant": "quatdiv", "a": "x3*(1+x4)", "b": "-x9^3/2", "involution": "gamma"},
+            ["lift", "nil", "wadth"])
+        nil = out["nil"]["nil"]
+        assert nil["count"] == (1 << self.R) - (1 << (self.R - 2))
+        assert nil["complementOf"]["count"] == 1 << (self.R - 2)
+        assert nil["complementOf"]["particular"] == "+++-" + "+" * (self.R - 4)
+        assert out["lift"]["liftable"]["count"] == out["wadth"]["liftCount"]
+
+
 class TestRun:
     def test_empty_analyses(self):
         cfg = parse_config(dict(BASE_DOC, analyses=[]))
@@ -253,6 +292,17 @@ QUATDIV_DOC = {
     "analyses": ["lift", "nil", "wadth"],
 }
 
+# a benchmark-style config: monomials on M_3((-1,-1)_F) at all 32 orderings,
+# definite at 8 of them
+HAMILTON_R5_DOC = {
+    "vars": ["x1", "x2", "x3", "x4", "x5"],
+    "algebra": {"variant": "matrix", "kind": "hamilton",
+                "form": ["2*x1*x3", "-x2*x5^2", "3*x1*x4^2*x5"]},
+    "ordering": "ALL",
+    "analyses": ["gauge", "residue", "lift", "wadth"],
+    "seed": 1,
+}
+
 # (golden file, config document or None for a scenario, CLI arguments);
 # the files hold the CLI's stdout, captured with the same arguments
 GOLDEN_CASES = [
@@ -263,6 +313,7 @@ GOLDEN_CASES = [
     ("base_all.txt", dict(BASE_DOC, analyses=list(cli.ANALYSES)),
      ["--seed", "3", "--samples", "8", "--format", "text"]),
     ("quatdiv.json", QUATDIV_DOC, []),
+    ("hamilton_r5_all.json", HAMILTON_R5_DOC, []),
 ]
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

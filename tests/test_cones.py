@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaugecones import gauges
 from gaugecones.field import FunctionField, GammaVal, OrderingSpec, enumerate_orderings
@@ -16,6 +16,7 @@ from gaugecones.algebra import (
     base_spec,
     complex_spec,
     hamilton_spec,
+    trace_form,
 )
 from gaugecones.matrices import MatE
 from gaugecones.gauges import adjoint, in_gauge_ring, residue_element
@@ -26,6 +27,7 @@ from gaugecones.cones import (
     UnsupportedVariant,
     anisotropy_certificate,
     check_prepositive_axioms,
+    common_sign_orderings,
     compatibility_suite,
     cone_member,
     lift_exists,
@@ -215,7 +217,7 @@ class TestLifting:
     def test_constant_form_lifts_everywhere(self, F2):
         ctx = HermContext(base_spec(F2), (F2.one, F2.from_fraction(2)))
         report = lift_set(ctx)
-        assert report.liftable == report.base_orderings
+        assert report.liftable == tuple(enumerate_orderings(2))
         assert report.harrison_matches
 
     def test_harrison_random_forms(self, F2):
@@ -253,6 +255,102 @@ class TestLifting:
         assert (res.all_lift, res.coset_index_one, res.lift_count) == (True, True, 4)
 
 
+# one to ten variables: enumerating the orderings stays cheap enough to be
+# the oracle of the sign systems
+WIDE_FIELDS = tuple(FunctionField([f"x{i}" for i in range(r)]) for r in range(1, 11))
+
+
+@st.composite
+def mixed_entries(draw, min_size=1):
+    """Entries of mixed signs over one field: monomials, binomials and
+    quotients of binomials, each term with a fractional coefficient."""
+    F = draw(st.sampled_from(WIDE_FIELDS))
+
+    def monomial():
+        exps = draw(st.lists(st.integers(0, 2), min_size=F.r, max_size=F.r))
+        num = draw(st.integers(-3, 3).filter(bool))
+        return F.monomial(exps, Fraction(num, draw(st.integers(1, 3))))
+
+    def entry():
+        kind = draw(st.sampled_from(("monomial", "binomial", "quotient")))
+        if kind == "monomial":
+            return monomial()
+        f = monomial() + monomial()
+        if kind == "quotient":
+            den = monomial() + monomial()
+            assume(den)
+            f = f / den
+        assume(f)
+        return f
+
+    return [entry() for _ in range(draw(st.integers(min_size, 4)))]
+
+
+def shared_sign(P, entries) -> bool:
+    return len({f.sign_at(P) for f in entries}) == 1
+
+
+class TestSignSystemOracle:
+    """The solved sign systems against enumeration of all orderings."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries=mixed_entries())
+    def test_common_sign_and_harrison(self, entries):
+        F = entries[0].field
+        orderings = enumerate_orderings(F.r)
+        expected = [P for P in orderings if shared_sign(P, entries)]
+        S = common_sign_orderings(entries)
+        assert list(S) == expected
+        assert S.count == len(expected)
+        assert [P for P in orderings if P in S] == expected
+
+        report = lift_set(HermContext(base_spec(F), tuple(entries)))
+        assert report.liftable == tuple(expected)
+        gens = report.harrison_generators
+        harrison = [] if 0 in report.epsilons else [
+            P for P in orderings if shared_sign(P, gens)]
+        assert report.harrison_set == tuple(harrison)
+        assert report.harrison_matches == (harrison == expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries=mixed_entries(min_size=2))
+    def test_nil_and_quaternion_lifting(self, entries):
+        a, b = entries[:2]
+        orderings = enumerate_orderings(a.field.r)
+        division = [P for P in orderings if a.sign_at(P) == -1 and b.sign_at(P) == -1]
+        for inv in Involution:
+            spec = QuatDivSpec(a, b, inv)
+            expected = division if inv is Involution.INT_I_GAMMA else [
+                P for P in orderings if P not in division]
+            report = nil_orderings(spec)
+            assert report.nil == tuple(expected)
+            assert report.count == len(expected)
+            # lift_exists at each ordering, with the trace form built once
+            tf = trace_form(spec).entries
+            liftable = [P for P in orderings if shared_sign(P, tf)]
+            assert lift_set(spec).liftable == tuple(liftable)
+            assert wadth_check(spec).lift_count == len(liftable)
+
+    def test_wide_field(self):
+        # 64 variables: 2^64 orderings are out of reach of enumeration
+        F = FunctionField([f"x{i}" for i in range(64)])
+        x = F.vars()
+        h = (F.one, 2 * x[1] * x[5], -x[2] * x[7] ** 2 / 3)
+        spec = HermContext(hamilton_spec(F), h)
+        report = lift_set(spec)
+        # x1 x5 positive and x2 negative: rank 2
+        assert report.lifting.count == 1 << 62
+        assert report.harrison_matches
+        assert wadth_check(spec).lift_count == 1 << 62
+        def at(negative):
+            return OrderingSpec(tuple(-1 if i in negative else 1 for i in range(64)))
+
+        assert at(()) not in report.lifting and at((1, 2)) not in report.lifting
+        assert at((2,)) in report.lifting and at((1, 2, 5, 63)) in report.lifting
+        assert len(nil_orderings(QuatDivSpec(x[0], x[3], Involution.GAMMA)).division
+                   .directions) == 62
+
+
 class TestNil:
     def test_example(self, F2):
         x, y = F2.vars()
@@ -272,18 +370,24 @@ class TestNil:
 
 class TestResidueOncePerGauge:
     def test_one_decomposition_per_gauge(self, F2, monkeypatch):
+        # the decomposition depends on the form alone and is cached on it,
+        # so the patch sees forms, not gauges
         decompose = gauges.residue_decomposition
         calls = []
         monkeypatch.setattr(gauges, "residue_decomposition",
-                            lambda G: calls.append(G) or decompose(G))
+                            lambda ctx: calls.append(ctx) or decompose(ctx))
         x, _ = F2.vars()
         C = make_cone(F2, [F2.one, x])
-        assert calls == [C.gauge()]
+        assert calls == [C.gauge().ctx]
         compatibility_suite(C, sample_count=5, seed=0)
         # the suite reads the stored decomposition; only the residue cone's
-        # block gauges are new, each decomposed once at construction
-        assert sum(G is C.gauge() for G in calls) == 1
-        assert len({id(G) for G in calls}) == len(calls) == 3
+        # block forms are new, each decomposed once
+        assert sum(ctx is C.gauge().ctx for ctx in calls) == 1
+        assert len({id(ctx) for ctx in calls}) == len(calls) == 3
+        # a gauge of the same form at another ordering reads the cache
+        other = ConeSpec(C.ctx, OrderingSpec((1, -1)))
+        assert other.valid and other.gauge().residue is C.gauge().residue
+        assert len(calls) == 3
 
 
 def isotropy_sum(coeffs, xs, ctx):

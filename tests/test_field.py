@@ -13,6 +13,7 @@ from gaugecones.field import (
     GammaVal,
     NegativeValuation,
     NotMonicAfterNormalization,
+    OrderingCoset,
     OrderingSpec,
     PolyX,
     RatFunc,
@@ -20,6 +21,7 @@ from gaugecones.field import (
     enumerate_orderings,
     newton_root_valuations,
     parse_element,
+    solve_sign_system,
 )
 
 
@@ -172,6 +174,76 @@ class TestOrderings:
         assert specs == enumerate_orderings(3)
         assert specs[0].eta == (-1, -1, -1)
         assert specs[-1].eta == (1, 1, 1)
+
+
+@st.composite
+def sign_systems(draw, max_r=10):
+    """r, and up to 2r equations (a, b) with a an r-bit mask."""
+    r = draw(st.integers(0, max_r))
+    eqs = draw(st.lists(st.tuples(st.integers(0, (1 << r) - 1), st.integers(0, 1)),
+                        max_size=2 * r))
+    return r, eqs
+
+
+class TestSignSystems:
+    @settings(max_examples=150, deadline=None)
+    @given(system=sign_systems())
+    def test_matches_enumeration(self, system):
+        r, eqs = system
+        S = solve_sign_system(r, eqs)
+        orderings = enumerate_orderings(r)
+        expected = [P for P in orderings
+                    if all((a & P.bits).bit_count() % 2 == b for a, b in eqs)]
+        assert list(S) == expected
+        assert S.count == len(expected)
+        assert [P for P in orderings if P in S] == expected
+        if expected:
+            assert S.count == 1 << (r - _rank(a for a, _ in eqs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=sign_systems(), data=st.data())
+    def test_canonical(self, system, data):
+        # the same set from another system of equations is the same object:
+        # shuffled, with sums of equations added
+        r, eqs = system
+        more = data.draw(st.permutations(eqs))
+        for _ in range(data.draw(st.integers(0, 3))):
+            if eqs:
+                (a1, b1), (a2, b2) = data.draw(st.sampled_from(eqs)), data.draw(st.sampled_from(eqs))
+                more.append((a1 ^ a2, b1 ^ b2))
+        assert solve_sign_system(r, more) == solve_sign_system(r, eqs)
+
+    def test_bits_round_trip(self):
+        for P in enumerate_orderings(4):
+            assert OrderingSpec.from_bits(P.bits, 4) == P
+        assert [P.bits for P in enumerate_orderings(3)] == list(range(7, -1, -1))
+
+    def test_examples(self):
+        # x0 negative and x0 x2 positive: t0 = 1, t0 + t2 = 0
+        S = solve_sign_system(3, [(0b100, 1), (0b101, 0)])
+        assert [P.eta for P in S] == [(-1, -1, -1), (-1, 1, -1)]
+        assert S == OrderingCoset(3, 0b101, (0b010,))
+        assert solve_sign_system(2, [(0b11, 1), (0b11, 0)]) == OrderingCoset(2, None)
+        assert solve_sign_system(2, [(0, 1)]).count == 0
+        assert solve_sign_system(2, []).count == 4
+        assert list(solve_sign_system(0, [])) == [OrderingSpec(())]
+
+    def test_sign_character(self, F2):
+        x, y = F2.vars()
+        for f in (x, -x * y ** 2, (1 - x) / (2 * y - x * y), -3 / (x ** 3 + y)):
+            a, s = f.sign_character()
+            for P in enumerate_orderings(2):
+                assert f.sign_at(P) == (-1) ** (s + (a & P.bits).bit_count())
+
+
+def _rank(masks) -> int:
+    basis = []
+    for v in masks:
+        for w in basis:
+            v = min(v, v ^ w)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 class TestNewton:

@@ -167,7 +167,7 @@ class TestCosets:
 class TestResidueDecomposition:
     def test_one_block(self, F2):
         G = make_context(F2, [F2.one, F2.from_fraction(2)])
-        dec = residue_decomposition(G)
+        dec = residue_decomposition(G.ctx)
         assert len(dec.blocks) == 1
         assert dec.blocks[0].residue_form == (Fraction(1), Fraction(2))
         assert is_dubrovin(G)
@@ -175,7 +175,7 @@ class TestResidueDecomposition:
     def test_two_blocks(self, F2):
         x, _ = F2.vars()
         G = make_context(F2, [F2.one, x])
-        dec = residue_decomposition(G)
+        dec = residue_decomposition(G.ctx)
         assert [b.size for b in dec.blocks] == [1, 1]
         assert [b.residue_form for b in dec.blocks] == [(Fraction(1),), (Fraction(1),)]
         assert not is_dubrovin(G)
@@ -183,7 +183,7 @@ class TestResidueDecomposition:
     def test_mixed_blocks(self, F2):
         x, _ = F2.vars()
         G = make_context(F2, [F2.one, x, 2 * x])
-        dec = residue_decomposition(G)
+        dec = residue_decomposition(G.ctx)
         assert [b.size for b in dec.blocks] == [1, 2]
         assert dec.blocks[1].residue_form == (Fraction(1), Fraction(2))
 
@@ -202,7 +202,7 @@ class TestResidueDecomposition:
                 for _ in range(n)
             ]
             G = make_context(F2, entries)
-            dec = residue_decomposition(G)
+            dec = residue_decomposition(G.ctx)
             cells = sum(
                 1
                 for i in range(n)
