@@ -150,7 +150,7 @@ def parse_config(doc: dict) -> dict:
         "orderings": orderings,
         "analyses": list(analyses),
         "seed": _int_entry(doc, "seed", 0),
-        "samples": _int_entry(doc, "sampleCount", 50),
+        "samples": _sample_count(_int_entry(doc, "sampleCount", 50), "sampleCount"),
     }
 
 
@@ -159,6 +159,13 @@ def _int_entry(doc: dict, key: str, default: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer", key)
     return value
+
+
+def _sample_count(n: int, location: str) -> int:
+    # below 1 every sampled condition would pass having tried nothing
+    if n < 1:
+        raise ConfigError(f"{location} must be at least 1", location)
+    return n
 
 
 def load_config(path: str) -> dict:
@@ -511,6 +518,8 @@ def main(argv=None) -> int:
         print("give either a config path or --scenario, not both", file=sys.stderr)
         return 2
     try:
+        if args.samples is not None:
+            _sample_count(args.samples, "--samples")
         if args.scenario:
             report = SCENARIOS[args.scenario]()
         elif args.config:

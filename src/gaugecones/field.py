@@ -4,22 +4,31 @@ The field carries the lex monomial valuation (first declared variable most
 significant) with value group Z^r ordered lexicographically, and the family
 of compatible orderings given by a sign for each variable.  All arithmetic
 is exact.  An element is a quotient of two coprime polynomials with integer
-coefficients (content included), the denominator's leading coefficient
-positive, so a constant such as 1/2 keeps its 2 in the denominator.  This
-form is canonical: equality of field elements is structural.
+coefficients (content included), the leading coefficient of the denominator
+(that of its lex-largest term) positive, so a constant such as 1/2 keeps its
+2 in the denominator.  This form is canonical: equality of field elements is
+structural.
 
-Arithmetic decides without sympy what it can: a zero operand returns the
-other operand, its negation or zero; a product of two monomials (one-term
+Arithmetic runs through two ladders, one for sums and one for products,
+each deciding without sympy what it can: a zero operand returns the other
+operand, its negation or zero; a product of two monomials (one-term
 numerator and denominator each) is built in closed form, exponents added
-and the coefficient reduced by its gcd; sums and products of
-polynomials skip the gcd.  Everything else goes through sympy's fraction
-field, which cancels by gcd.  Each path yields the same canonical form.
+and the coefficient reduced by its gcd; sums and products of polynomials
+skip the gcd.  Everything else goes through sympy's fraction field, which
+cancels by gcd.  Division and negative powers are products with the
+reciprocal, which swaps numerator and denominator and needs no gcd.  Each
+path yields the same canonical form.
+
+Valuation, leading term, sign at an ordering and residue all read one walk
+for the lex-minimal terms of numerator and denominator.  The sign is the
+Baer-Krull formula sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,13 +174,6 @@ class OrderingSpec:
     def __post_init__(self):
         if any(s not in (-1, 1) for s in self.eta):
             raise ValueError("signs must be +1 or -1")
-
-    def sign_of_monomial(self, exponents: Sequence[int]) -> int:
-        s = 1
-        for eta_i, a_i in zip(self.eta, exponents, strict=True):
-            if a_i % 2:
-                s *= eta_i
-        return s
 
     @property
     def bits(self) -> int:
@@ -371,9 +373,14 @@ def _is_one(poly) -> bool:
     return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
 
 
-def _lex_min_term(poly):
-    """(exponent vector, coefficient) of the lex-minimal monomial of a nonzero poly."""
-    return min(poly.terms(), key=lambda t: t[0])
+def _reciprocal(f):
+    """1/f for a fraction f in canonical form: numerator and denominator
+    swap, both negated when the new denominator's leading coefficient (in
+    sympy's lex order) is negative.  They stay coprime, so no gcd is needed."""
+    if not f:
+        raise ZeroDivisionError("division by zero rational function")
+    n, d = f.numer, f.denom
+    return f.raw_new(-d, -n) if n.LC < 0 else f.raw_new(d, n)
 
 
 class RatFunc:
@@ -381,9 +388,10 @@ class RatFunc:
     numerator and denominator in Z[x_1,...,x_r], the denominator's leading
     coefficient positive.
 
-    Zero operands, monomial times monomial and unit-denominator sums and
-    products take fast paths (see the module docstring); the tests check
-    each against sympy's general fraction arithmetic."""
+    Sums go through _sum, products and quotients through _product, and
+    quotients and negative powers take the closed-form reciprocal (see the
+    module docstring); the tests check each fast path against sympy's
+    general fraction arithmetic."""
 
     __slots__ = ("field", "_f")
 
@@ -402,49 +410,20 @@ class RatFunc:
             return self.field.from_fraction(other)._f
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _sum(self, o, op) -> "RatFunc":
+        """op(self, o) for op operator.add or operator.sub and o a fraction
+        of this field."""
         f = self._f
         if not o:
             return self
-        if not f:
-            return RatFunc(self.field, o)
-        # polynomial fast path: no gcd cancellation needed when both denoms are 1
-        if _is_one(f.denom) and _is_one(o.denom):
-            return RatFunc(self.field, f.raw_new(f.numer + o.numer, f.denom))
-        return RatFunc(self.field, f + o)
+        if f and _is_one(f.denom) and _is_one(o.denom):
+            # two polynomials: the sum needs no gcd
+            return RatFunc(self.field, f.raw_new(op(f.numer, o.numer), f.denom))
+        # for f = 0 sympy returns o or -o at once; otherwise it cancels by gcd
+        return RatFunc(self.field, op(f, o))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        f = self._f
-        if not o:
-            return self
-        if not f:
-            return RatFunc(self.field, -o)
-        if _is_one(f.denom) and _is_one(o.denom):
-            return RatFunc(self.field, f.raw_new(f.numer - o.numer, f.denom))
-        return RatFunc(self.field, f - o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not self._f:
-            return RatFunc(self.field, o)
-        if not o:
-            return -self
-        return RatFunc(self.field, o - self._f)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    def _product(self, o) -> "RatFunc":
+        """self * o for a fraction o of this field."""
         f = self._f
         if not f or not o:
             return self.field.zero
@@ -465,33 +444,43 @@ class RatFunc:
             return RatFunc(self.field, f.raw_new(fn * on, fd))
         return RatFunc(self.field, f * o)
 
+    def __add__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._sum(o, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._sum(o, operator.sub)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return RatFunc(self.field, o)._sum(self._f, operator.sub)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._product(o)
+
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        if not self._f:
-            return self.field.zero
-        return RatFunc(self.field, self._f / o)
+        return o if o is NotImplemented else self._product(_reciprocal(o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
-            return NotImplemented
-        if not self._f:
-            raise ZeroDivisionError("division by zero rational function")
-        if not o:
-            return self.field.zero
-        return RatFunc(self.field, o / self._f)
+            return o
+        return RatFunc(self.field, o)._product(_reciprocal(self._f))
 
     def __neg__(self):
         return RatFunc(self.field, -self._f)
 
     def __pow__(self, n: int):
-        return RatFunc(self.field, self._f ** n)
+        return RatFunc(self.field, (self._f if n >= 0 else _reciprocal(self._f)) ** abs(n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -501,7 +490,11 @@ class RatFunc:
         return self.field == other.field and self._f == other._f
 
     def __hash__(self):
-        return hash((self.field, self._f))
+        # from the terms, not sympy's cached polynomial hash: PolyElement.square
+        # caches the hash of its half-built result, so a square from sympy
+        # hashes apart from an equal element
+        f = self._f
+        return hash((self.field, frozenset(f.numer.items()), frozenset(f.denom.items())))
 
     def __bool__(self):
         return bool(self._f)
@@ -524,31 +517,38 @@ class RatFunc:
 
     # -- valuation-theoretic structure -------------------------------------
 
+    def _lead(self) -> tuple[list[int], int, int]:
+        """(exps, cn, cd) with (cn/cd) x^exps the valuation-leading monomial:
+        cn and cd are the lex-minimal coefficients of numerator and
+        denominator.  cd may be negative, as the canonical form makes only
+        the denominator's lex-largest coefficient positive."""
+        if not self._f:
+            raise FieldError("zero has no leading term")
+        en, cn = min(self._f.numer.items())
+        ed, cd = min(self._f.denom.items())
+        return [a - b for a, b in zip(en, ed)], int(cn), int(cd)
+
     def val(self) -> GammaVal:
         """Lex monomial valuation; INF on zero."""
         if not self._f:
             return GammaVal.infinity()
-        en, _ = _lex_min_term(self._f.numer)
-        ed, _ = _lex_min_term(self._f.denom)
-        return GammaVal([a - b for a, b in zip(en, ed)])
+        return GammaVal(self._lead()[0])
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Exponent vector and coefficient of the valuation-leading monomial."""
-        if not self._f:
-            raise FieldError("zero has no leading term")
-        en, cn = _lex_min_term(self._f.numer)
-        ed, cd = _lex_min_term(self._f.denom)
-        return tuple(a - b for a, b in zip(en, ed)), Fraction(int(cn), int(cd))
+        exps, cn, cd = self._lead()
+        return tuple(exps), Fraction(cn, cd)
 
     def sign_character(self) -> tuple[int, int]:
         """(a, s) with sign_P(self) = (-1)^(s + <a, P.bits>) at every ordering
         P: a holds the odd coordinates of the valuation as bits (coordinate 0
-        most significant), s = 1 iff the leading coefficient is negative."""
-        exps, coeff = self.leading_term()
+        most significant), s = 1 iff the leading coefficient is negative.
+        This is Baer-Krull: sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i)."""
+        exps, cn, cd = self._lead()
         a = 0
         for e in exps:
             a = (a << 1) | (e & 1)
-        return a, int(coeff < 0)
+        return a, int((cn < 0) != (cd < 0))
 
     def sign_at(self, P: OrderingSpec) -> int:
         """Sign of the element at the compatible ordering P."""
@@ -556,22 +556,18 @@ class RatFunc:
             raise FieldError("ordering arity mismatch")
         if not self._f:
             return 0
-        exps, coeff = self.leading_term()
-        s = 1 if coeff > 0 else -1
-        return s * P.sign_of_monomial(exps)
+        a, s = self.sign_character()
+        return -1 if (s + (a & P.bits).bit_count()) & 1 else 1
 
     def residue(self) -> Fraction:
         """Image in the residue field Q; requires nonnegative valuation."""
-        v = self.val()
-        if v.is_inf:
+        if not self._f:
             return Fraction(0)
-        zero = GammaVal.zero(self.field.r)
-        if v < zero:
-            raise NegativeValuation(f"val = {v}")
-        if v > zero:
-            return Fraction(0)
-        _, coeff = self.leading_term()
-        return coeff
+        exps, cn, cd = self._lead()
+        first = next((e for e in exps if e), 0)  # decides the lex sign of v
+        if first < 0:
+            raise NegativeValuation(f"val = {GammaVal(exps)}")
+        return Fraction(0) if first else Fraction(cn, cd)
 
     def __repr__(self):
         return f"RatFunc({self._f})"
@@ -631,9 +627,6 @@ class PolyX:
         a = list(self.coeffs) + [z] * (n - len(self.coeffs))
         b = list(other.coeffs) + [z] * (n - len(other.coeffs))
         return PolyX(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "PolyX") -> "PolyX":
-        return self + PolyX(self.field, [-c for c in other.coeffs])
 
     def __mul__(self, other: "PolyX") -> "PolyX":
         if self.is_zero or other.is_zero:

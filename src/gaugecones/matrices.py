@@ -301,21 +301,14 @@ def _as_scalar(q: EElement) -> RatFunc:
     return q.coords[0]
 
 
-def _poly_mul(a: list[EElement], b: list[EElement], spec: ESpec) -> list[EElement]:
-    out = [spec.zero()] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] = out[i + j] + u * v
-    return out
-
-
 def reduced_charpoly(M: MatE) -> PolyX:
     """Reduced characteristic polynomial with coefficients in F.
 
     Degree n over F itself; degree 2n over F(sqrt(-1)) (the polynomial times
     its conjugate) and over the quaternions (characteristic polynomial of the
-    complex embedding).  Coefficients are exactly real; NonRealCoefficient is
-    raised otherwise.
+    complex embedding).  Over F(sqrt(-1)) that product is Re(q)^2 + Im(q)^2,
+    real by construction; over the quaternions NonRealCoefficient is raised
+    if a coefficient is not exactly real.
     """
     if not M.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
@@ -324,10 +317,10 @@ def reduced_charpoly(M: MatE) -> PolyX:
         coeffs = _charpoly_commutative(M)
         return PolyX(F, [c.coords[0] for c in coeffs])
     if M.spec.kind is EKind.COMPLEX:
+        # q qbar = Re(q)^2 + Im(q)^2 for q = det(X - M)
         q = _charpoly_commutative(M)
-        qbar = [c.conj() for c in q]
-        prod = _poly_mul(q, qbar, M.spec)
-        return PolyX(F, [_as_scalar(c) for c in prod])
+        a, b = (PolyX(F, [c.coords[k] for c in q]) for k in (0, 1))
+        return a * a + b * b
     coeffs = _charpoly_commutative(chi(M))
     return PolyX(F, [_as_scalar(c) for c in coeffs])
 

@@ -95,6 +95,8 @@ class TestMalformedConfig:
              "list of expressions"),
             ({"seed": "abc"}, "seed", "must be an integer"),
             ({"sampleCount": 2.5}, "sampleCount", "must be an integer"),
+            ({"sampleCount": -4}, "sampleCount", "at least 1"),
+            ({"sampleCount": 0}, "sampleCount", "at least 1"),
             ({"analyses": "gauge"}, "analyses", "must be a list"),
             ({"ordering": [None, 1]}, "ordering", "each -1 or 1"),
             ({"ordering": [1.5, 1]}, "ordering", "each -1 or 1"),
@@ -104,7 +106,8 @@ class TestMalformedConfig:
              "algebra.kind", "unknown coefficient kind"),
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
-             "form-entry-int", "seed-string", "sampleCount-float", "analyses-string",
+             "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
+             "sampleCount-zero", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
              "kind-list"],
     )
@@ -255,6 +258,18 @@ class TestMain:
         assert main(["run", path, "--seed", "0", "--samples", "50"]) == 0
         assert main(["run", path]) == 0
         assert [(c["seed"], c["samples"]) for c in seen] == [(0, 50), (7, 10)]
+
+    @pytest.mark.parametrize("samples", ["-4", "0"])
+    def test_samples_below_one_exit_2(self, tmp_path, monkeypatch, capsys, samples):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or {"analyses": {}})
+        path = write_config(tmp_path, BASE_DOC)
+        assert main(["run", path, "--samples", samples]) == 2
+        assert main(["run", "--scenario", "bk2_example", "--samples", samples]) == 2
+        assert "configuration error: --samples: " in capsys.readouterr().err
+        assert seen == []
+        assert main(["run", path, "--samples", "1"]) == 0
+        assert [c["samples"] for c in seen] == [1]
 
     def test_missing_argument(self, capsys):
         assert main(["run"]) == 2

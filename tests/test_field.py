@@ -128,13 +128,28 @@ class TestSignAt:
                 n += 1
 
     def test_baer_krull_form(self, F2):
+        # oracle: sgn(lc f) times eta_i over the odd coordinates of v(f)
         rng = random.Random(14)
         for _ in range(50):
             f = random_ratfunc(F2, rng)
             exps, coeff = f.leading_term()
             for P in enumerate_orderings(2):
-                expected = (1 if coeff > 0 else -1) * P.sign_of_monomial(exps)
+                expected = 1 if coeff > 0 else -1
+                for eta_i, a_i in zip(P.eta, exps, strict=True):
+                    if a_i % 2:
+                        expected *= eta_i
                 assert f.sign_at(P) == expected
+
+
+class TestPower:
+    def test_negative_powers_are_canonical(self, F2):
+        x, y = F2.vars()
+        for f, n in ((-x, 1), ((x - 1) / (2 * y), 2), ((1 - x) / (2 * y), 1)):
+            p, q = f ** -n, F2.one / f ** n
+            assert p == q and hash(p) == hash(q) and str(p) == str(q)
+        assert str((-x) ** -1) == "-1/x"
+        with pytest.raises(ZeroDivisionError):
+            F2.zero ** -1
 
 
 class TestResidue:
@@ -418,6 +433,22 @@ class TestFastPathOracle:
         F = data.draw(st.sampled_from(ORACLE_FIELDS[1:]))
         f, g = (data.draw(fracs(F, ("monomial",))) for _ in "fg")
         assert _same(RatFunc(F, f) * RatFunc(F, g), f * g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_quotients_and_negative_powers_match_sympy(self, data):
+        # division and negative powers multiply by the closed-form reciprocal;
+        # sympy's quotient is cancelled by gcd
+        F = data.draw(st.sampled_from(ORACLE_FIELDS))
+        K = F._field
+        f = data.draw(fracs(F, ("monomial",)))
+        g = data.draw(fracs(F, ("monomial", "rational")).filter(bool))
+        h = data.draw(fracs(F, KINDS[1:]).filter(bool))
+        a, b, c = RatFunc(F, f), RatFunc(F, g), RatFunc(F, h)
+        assert _same(a / b, f / g)  # monomial / monomial or quotient
+        assert _same(b / a, g / f)  # monomial or quotient / monomial
+        n = data.draw(st.integers(1, 3))
+        assert _same(c ** -n, K.one / h ** n)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
