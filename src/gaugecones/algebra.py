@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -419,9 +420,7 @@ def same_square_class_form(d1: DiagForm, d2: DiagForm, P: OrderingSpec) -> bool:
     if len(d1) != len(d2):
         raise LengthMismatch(f"ranks {len(d1)} and {len(d2)}")
 
-    def key(f: RatFunc):
-        return (f.sign_at(P), f.val().mod_group(2))
+    def classes(d: DiagForm) -> Counter:
+        return Counter((f.sign_at(P), f.val().mod_group(2)) for f in d.entries)
 
-    return sorted(
-        (key(f) for f in d1.entries), key=lambda t: (t[0], t[1].coords)
-    ) == sorted((key(f) for f in d2.entries), key=lambda t: (t[0], t[1].coords))
+    return classes(d1) == classes(d2)

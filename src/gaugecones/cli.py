@@ -37,9 +37,8 @@ from .algebra import (
     hamilton_spec,
 )
 from .matrices import NonRealCoefficient, reduced_charpoly
-from .gauges import coset_index, is_dubrovin, value_coset_set
+from .gauges import GaugeContext, coset_index, is_dubrovin, value_coset_set
 from .cones import (
-    ConeSpec,
     check_prepositive_axioms,
     common_sign_orderings,
     compatibility_suite,
@@ -217,14 +216,14 @@ class _PerOrdering:
     """An analysis of a matrix presentation, run at the requested orderings."""
 
     noun: str  # names the analysis in the note for other presentations
-    at: Callable[[ConeSpec, dict], dict]  # report at an ordering where h is definite
+    at: Callable[[GaugeContext, dict], dict]  # report at an ordering where h is definite
     indefinite: Optional[dict] = None  # report where it is not; None leaves it out
     first_only: bool = False  # the first definite ordering's report is the whole one
     finish: Callable[[dict, dict], dict] = lambda per, cfg: per
 
 
-def _gauge_at(C: ConeSpec, cfg) -> dict:
-    return {"valid": True, "normalizedSign": C.gauge().normalized_sign}
+def _gauge_at(G: GaugeContext, cfg) -> dict:
+    return {"valid": True, "normalizedSign": G.normalized_sign}
 
 
 def _gauge_finish(per: dict, cfg) -> dict:
@@ -238,10 +237,9 @@ def _gauge_finish(per: dict, cfg) -> dict:
     return {"cosetIndex": len(cosets), "orderings": per}
 
 
-def _residue_at(C: ConeSpec, cfg) -> dict:
-    G = C.gauge()
+def _residue_at(G: GaugeContext, cfg) -> dict:
     return {
-        "ordering": fmt_eta(C.P),
+        "ordering": fmt_eta(G.P),
         "residueKind": G.residue.residue_espec.kind.value,
         "dubrovin": is_dubrovin(G),
         "blocks": [
@@ -256,12 +254,12 @@ def _residue_at(C: ConeSpec, cfg) -> dict:
     }
 
 
-def _cones_at(C: ConeSpec, cfg) -> dict:
-    return _tallies(check_prepositive_axioms(C, samples=cfg["samples"], seed=cfg["seed"]))
+def _cones_at(G: GaugeContext, cfg) -> dict:
+    return _tallies(check_prepositive_axioms(G, samples=cfg["samples"], seed=cfg["seed"]))
 
 
-def _compat_at(C: ConeSpec, cfg) -> dict:
-    return _tallies(compatibility_suite(C, sample_count=cfg["samples"], seed=cfg["seed"]))
+def _compat_at(G: GaugeContext, cfg) -> dict:
+    return _tallies(compatibility_suite(G, sample_count=cfg["samples"], seed=cfg["seed"]))
 
 
 _PER_ORDERING = {
@@ -281,7 +279,7 @@ def _run_per_ordering(name: str, cfg) -> dict:
     per = {}
     for P in cfg["orderings"]:
         if P in definite:
-            report = analysis.at(ConeSpec(algebra, P), cfg)
+            report = analysis.at(GaugeContext(algebra, P), cfg)
             if analysis.first_only:
                 return report
             per[fmt_eta(P)] = report

@@ -3,10 +3,13 @@
 A positive cone over a compatible ordering P is described intensionally: for
 (M_n(E), ad_h) with h definite at P, the unique cone containing 1 consists of
 the ad_h-symmetric matrices whose Gram twist diag(e) a is positive
-semidefinite at P.  The module provides membership, cone sampling, the
-prepositive-cone and gauge-compatibility property suites, residue cones,
-Baer-Krull lifting reports with the Harrison characterization, nil-ordering
-computation for quaternion algebras, and strong-anisotropy certificates.
+semidefinite at P.  The cone and the gauge of h come from the same data
+(h, P), so one gauges.GaugeContext stands for both; building it on a form
+indefinite at P raises IndefiniteForm.  The module provides membership, cone
+sampling, the prepositive-cone and gauge-compatibility property suites,
+residue cones, Baer-Krull lifting reports with the Harrison characterization,
+nil-ordering computation for quaternion algebras, and strong-anisotropy
+certificates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .algebra import (
 from .matrices import MatE, psd_at, reduced_charpoly
 from .gauges import (
     GaugeContext,
-    IndefiniteForm,
+    NotInRing,
     adjoint,
     coset_index,
     gauge_value,
@@ -50,58 +53,22 @@ from .gauges import (
 )
 
 
-class InvalidCone(FieldError):
-    """No positive cone containing 1 exists over this ordering."""
-
-
 class UnsupportedVariant(FieldError):
     """Operation is only defined for quaternion division presentations."""
 
 
-class ConeSpec:
-    """The unique positive cone containing 1 on (M_n(E), ad_h) over P.
-
-    valid is true iff h is definite at P (equivalently, iff the trace form is
-    definite at P); an invalid spec rejects every membership query.
-    """
-
-    __slots__ = ("ctx", "P", "valid", "_gauge")
-
-    def __init__(self, ctx: HermContext, P: OrderingSpec):
-        self.ctx = ctx
-        self.P = P
-        try:
-            self._gauge = GaugeContext(ctx, P)
-            self.valid = True
-        except IndefiniteForm:
-            self._gauge = None
-            self.valid = False
-
-    def gauge(self) -> GaugeContext:
-        if self._gauge is None:
-            raise InvalidCone("form is not definite at the ordering")
-        return self._gauge
-
-    @property
-    def n(self) -> int:
-        return self.ctx.n
-
-    @property
-    def espec(self) -> ESpec:
-        return self.ctx.espec
-
-    @property
-    def field(self) -> FunctionField:
-        return self.ctx.field
+# The cone of a form definite at an ordering is fixed by the same data as its
+# gauge, so one GaugeContext stands for both.  The name stays because the
+# benchmark in perfbench/ builds cones as cones.ConeSpec(ctx, P).
+ConeSpec = GaugeContext
 
 
-def cone_member(a: MatE, C: ConeSpec) -> bool:
+def cone_member(a: MatE, G: GaugeContext) -> bool:
     """Membership in the positive cone: ad_h-symmetric with a positive
     semidefinite Gram twist at the ordering."""
-    G = C.gauge()
     if not G.is_symmetric(a):
         return False
-    return psd_at(G.gram_twist(a), C.P)
+    return psd_at(G.gram_twist(a), G.P)
 
 
 # ---------------------------------------------------------------------------
@@ -137,20 +104,19 @@ def random_matrix(spec: ESpec, n: int, rng: random.Random,
     return MatE(spec, [[entry() for _ in range(n)] for _ in range(n)])
 
 
-def sample_cone(C: ConeSpec, S: Optional[Sequence[MatE]] = None,
+def sample_cone(G: GaugeContext, S: Optional[Sequence[MatE]] = None,
                 count: int = 1, rng: Optional[random.Random] = None) -> list[MatE]:
     """Random cone members: sums of u_i sigma(x_i) s_i x_i with u_i positive
     at P and s_i drawn from the generating members S (default {1})."""
     rng = rng or random.Random(0)
-    G = C.gauge()
     if S is None:
-        S = [MatE.identity(C.espec, C.n)]
+        S = [MatE.identity(G.espec, G.n)]
     out = []
     for _ in range(count):
-        acc = MatE.zeros(C.espec, C.n)
+        acc = MatE.zeros(G.espec, G.n)
         for _ in range(rng.randint(1, 2)):
-            u = random_positive_scalar(C.field, C.P, rng)
-            x = random_matrix(C.espec, C.n, rng)
+            u = random_positive_scalar(G.field, G.P, rng)
+            x = random_matrix(G.espec, G.n, rng)
             s = S[rng.randrange(len(S))]
             acc = acc + (G.sigma(x) * s * x).scale(u)
         out.append(acc)
@@ -191,38 +157,40 @@ class CompatReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.conditions.values())
 
+    def check(self, name: str, cond: bool, witness) -> None:
+        """Tally one try of a condition, keeping the witness when it fails."""
+        res = self.conditions[name]
+        res.tried += 1
+        if not cond:
+            res.violations.append(witness)
 
-def check_prepositive_axioms(C: ConeSpec, samples: int = 50,
+
+def check_prepositive_axioms(G: GaugeContext, samples: int = 50,
                              seed: int = 0) -> CompatReport:
     """Sampled verification of the prepositive-cone axioms: 0 and 1 belong,
     closure under addition and under sigma(x) . x sandwiches, stability under
     positive scalars, and properness."""
     rng = random.Random(seed)
-    G = C.gauge()
-    res = {k: ConditionResult() for k in ("zero_one", "addition", "sandwich", "scalar", "proper")}
-
-    def check(name, cond, witness):
-        res[name].tried += 1
-        if not cond:
-            res[name].violations.append(witness)
-
-    check("zero_one", cone_member(MatE.zeros(C.espec, C.n), C), "0")
-    check("zero_one", cone_member(MatE.identity(C.espec, C.n), C), "1")
+    names = ("zero_one", "addition", "sandwich", "scalar", "proper")
+    report = CompatReport(seed, {k: ConditionResult() for k in names})
+    check = report.check
+    check("zero_one", cone_member(MatE.zeros(G.espec, G.n), G), "0")
+    check("zero_one", cone_member(MatE.identity(G.espec, G.n), G), "1")
     for k in range(samples):
-        a, b = sample_cone(C, count=2, rng=rng)
-        check("addition", cone_member(a + b, C), (k, "a+b"))
-        x = random_matrix(C.espec, C.n, rng)
-        check("sandwich", cone_member(G.sigma(x) * a * x, C), (k, "sigma(x) a x"))
-        u = random_positive_scalar(C.field, C.P, rng)
-        check("scalar", cone_member(a.scale(u), C), (k, "u a"))
+        a, b = sample_cone(G, count=2, rng=rng)
+        check("addition", cone_member(a + b, G), (k, "a+b"))
+        x = random_matrix(G.espec, G.n, rng)
+        check("sandwich", cone_member(G.sigma(x) * a * x, G), (k, "sigma(x) a x"))
+        u = random_positive_scalar(G.field, G.P, rng)
+        check("scalar", cone_member(a.scale(u), G), (k, "u a"))
         if not a.is_zero:
-            check("proper", not cone_member(-a, C), (k, "-a"))
-    return CompatReport(seed, res)
+            check("proper", not cone_member(-a, G), (k, "-a"))
+    return report
 
 
-def compatibility_suite(C: ConeSpec, sample_count: int = 200,
+def compatibility_suite(G: GaugeContext, sample_count: int = 200,
                         seed: int = 0) -> CompatReport:
-    """The gauge-compatibility conditions of the cone's gauge, plus the
+    """The gauge-compatibility conditions of the gauge and its cone, plus the
     perturbation property for elements with invertible residue.
 
     C0: the gauge of a sum of members is the minimum of the gauges.
@@ -236,20 +204,14 @@ def compatibility_suite(C: ConeSpec, sample_count: int = 200,
     perturbation by a symmetric element of the ideal.
     """
     rng = random.Random(seed)
-    G = C.gauge()
-    F = C.field
+    F = G.field
     names = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "complicated"]
-    res = {k: ConditionResult() for k in names}
-
-    def check(name, cond, witness):
-        res[name].tried += 1
-        if not cond:
-            res[name].violations.append(witness)
-
-    one_mat = MatE.identity(C.espec, C.n)
+    report = CompatReport(seed, {k: ConditionResult() for k in names})
+    check = report.check
+    one_mat = MatE.identity(G.espec, G.n)
 
     for k in range(sample_count):
-        a, c = sample_cone(C, count=2, rng=rng)
+        a, c = sample_cone(G, count=2, rng=rng)
         b = a + c
         wa, wb = gauge_value(a, G), gauge_value(b, G)
 
@@ -278,34 +240,37 @@ def compatibility_suite(C: ConeSpec, sample_count: int = 200,
 
         # C6: member of the ideal is strictly below 1
         m = a.scale(_scale_into_ring(wa, F, strict=True))
-        check("C6", cone_member(one_mat - m, C) and m != one_mat, (k, "C6"))
+        check("C6", cone_member(one_mat - m, G) and m != one_mat, (k, "C6"))
 
         # C7: 1 + symmetric ideal element is a member
-        x = random_matrix(C.espec, C.n, rng)
+        x = random_matrix(G.espec, G.n, rng)
         s = G.sigma(x) + x
         s = s.scale(_scale_into_ring(gauge_value(s, G), F, strict=True))
-        check("C7", cone_member(one_mat + s, C), (k, "C7"))
+        check("C7", cone_member(one_mat + s, G), (k, "C7"))
 
         # perturbation of a member with invertible residue
-        u0 = random_positive_scalar(C.field, C.P, rng, maxdeg=0)
+        u0 = random_positive_scalar(F, G.P, rng, maxdeg=0)
         cmat = one_mat.scale(u0) + m
         if _residue_invertible(cmat, G):
-            check("complicated", cone_member(cmat + s, C), (k, "complicated"))
+            check("complicated", cone_member(cmat + s, G), (k, "complicated"))
 
     # C5: the residue cone is a prepositive cone on the residue algebra
-    rc = residue_cone(C)
+    c5 = report.conditions["C5"]
+    rc = residue_cone(G)
     for block in rc.block_specs:
         rep = check_prepositive_axioms(block, samples=sample_count, seed=seed + 1)
-        res["C5"].tried += sum(r.tried for r in rep.conditions.values())
+        c5.tried += sum(r.tried for r in rep.conditions.values())
         for r in rep.conditions.values():
-            res["C5"].violations.extend(r.violations)
-    return CompatReport(seed, res)
+            c5.violations.extend(r.violations)
+    return report
 
 
 def _residue_invertible(a: MatE, G: GaugeContext) -> bool:
-    if not in_gauge_ring(a, G):
+    try:
+        blocks = residue_element(a, G)
+    except NotInRing:
         return False
-    for block in residue_element(a, G):
+    for block in blocks:
         p = reduced_charpoly(block)
         if p.coeffs[0].is_zero:
             return False
@@ -319,22 +284,20 @@ def _residue_invertible(a: MatE, G: GaugeContext) -> bool:
 @dataclass
 class ResidueCone:
     """The residue cone, blockwise: the positive cone of each residue block
-    context over the unique ordering of the residue field."""
+    form over the unique ordering of the residue field."""
 
-    cone: ConeSpec
-    block_specs: tuple[ConeSpec, ...]
+    cone: GaugeContext
+    block_specs: tuple[GaugeContext, ...]
 
     def member(self, blocks: Sequence[MatE]) -> bool:
-        return all(cone_member(b, spec) for b, spec in zip(blocks, self.block_specs))
+        return all(cone_member(b, G) for b, G in zip(blocks, self.block_specs))
 
     def lift(self, blocks: Sequence[MatE]) -> MatE:
         """The monomial preimage of a residue element, undoing the gauge shift."""
-        G = self.cone.gauge()
-        dec = G.residue
-        F = self.cone.field
-        espec = self.cone.espec
-        out = [[espec.zero() for _ in range(self.cone.n)] for _ in range(self.cone.n)]
-        for block, mat in zip(dec.blocks, blocks):
+        G = self.cone
+        F = G.field
+        out = [[G.espec.zero() for _ in range(G.n)] for _ in range(G.n)]
+        for block, mat in zip(G.residue.blocks, blocks):
             for s, i in enumerate(block.indices):
                 for t, j in enumerate(block.indices):
                     mono = G.shift_monomial(j, i)
@@ -342,19 +305,19 @@ class ResidueCone:
                         F.from_fraction(c.as_fraction()) * mono
                         for c in mat.rows[s][t].coords
                     )
-                    out[i][j] = EElement(espec, coords)
-        return MatE(espec, out)
+                    out[i][j] = EElement(G.espec, coords)
+        return MatE(G.espec, out)
 
 
-def residue_cone(C: ConeSpec) -> ResidueCone:
-    dec = C.gauge().residue
+def residue_cone(G: GaugeContext) -> ResidueCone:
+    dec = G.residue
     P0 = OrderingSpec(())
     F0 = dec.residue_espec.field
     specs = []
     for block in dec.blocks:
         h = tuple(F0.from_fraction(q) for q in block.residue_form)
-        specs.append(ConeSpec(HermContext(dec.residue_espec, h), P0))
-    return ResidueCone(C, tuple(specs))
+        specs.append(GaugeContext(HermContext(dec.residue_espec, h), P0))
+    return ResidueCone(G, tuple(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +325,9 @@ def residue_cone(C: ConeSpec) -> ResidueCone:
 # ---------------------------------------------------------------------------
 
 def lift_exists(spec: AlgebraSpec, P: OrderingSpec) -> bool:
-    """Whether the residue cone lifts over P: the trace form of the algebra
-    with involution is definite at P.
-
-    On (M_n(E), ad_h) the trace form is <positive constants> (x) h (x) h^-1,
-    definite at P iff the entries e_i of h share a sign there.
-    """
-    return len({f.sign_at(P) for f in _definiteness_entries(spec)}) == 1
-
-
-def _definiteness_entries(spec: AlgebraSpec) -> tuple[RatFunc, ...]:
-    """Entries whose sharing a sign at P is definiteness of the trace form."""
-    return spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
+    """Whether the residue cone lifts over P, read from the solved set of
+    liftable orderings."""
+    return P in liftable_orderings(spec)
 
 
 def common_sign_orderings(entries: Sequence[RatFunc]) -> OrderingCoset:
@@ -387,9 +341,14 @@ def common_sign_orderings(entries: Sequence[RatFunc]) -> OrderingCoset:
 
 
 def liftable_orderings(spec: AlgebraSpec) -> OrderingCoset:
-    """The orderings over which the residue cone lifts (lift_exists), solved
-    at once: on M_n(E) they are the orderings where h is definite."""
-    return common_sign_orderings(_definiteness_entries(spec))
+    """The orderings over which the residue cone lifts: those where the trace
+    form of the algebra with involution is definite.
+
+    On (M_n(E), ad_h) the trace form is <positive constants> (x) h (x) h^-1,
+    definite at P iff the entries e_i of h share a sign there.
+    """
+    entries = spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
+    return common_sign_orderings(entries)
 
 
 @dataclass

@@ -227,6 +227,8 @@ class OrderingCoset:
         return 0 if self.particular is None else 1 << len(self.directions)
 
     def __contains__(self, P: OrderingSpec) -> bool:
+        if len(P.eta) != self.r:
+            raise FieldError("ordering arity mismatch")
         if self.particular is None:
             return False
         t = P.bits ^ self.particular
@@ -490,9 +492,12 @@ class RatFunc:
         return self.field == other.field and self._f == other._f
 
     def __hash__(self):
-        # from the terms, not sympy's cached polynomial hash: PolyElement.square
-        # caches the hash of its half-built result, so a square from sympy
-        # hashes apart from an equal element
+        # a constant equals its int or Fraction, so it hashes as that number.
+        # Otherwise from the terms, not sympy's cached polynomial hash:
+        # PolyElement.square caches the hash of its half-built result, so a
+        # square from sympy hashes apart from an equal element
+        if self.is_constant():
+            return hash(self.as_fraction())
         f = self._f
         return hash((self.field, frozenset(f.numer.items()), frozenset(f.denom.items())))
 

@@ -41,7 +41,8 @@ class NotInRing(FieldError):
 
 
 class GaugeContext:
-    """A gauge on (M_n(E), ad_h) at a compatible ordering.
+    """A gauge on (M_n(E), ad_h) at a compatible ordering, and the positive
+    cone containing 1 over it (see the cones module).
 
     The form must be definite at P; if every entry is negative the context
     stores the negated form (same adjoint involution, same gauge) and records
@@ -54,7 +55,7 @@ class GaugeContext:
 
     def __init__(self, ctx: HermContext, P: OrderingSpec):
         signs = {f.sign_at(P) for f in ctx.e}
-        if len(signs) != 1 or 0 in signs:
+        if len(signs) != 1:
             raise IndefiniteForm("form entries must share a strict sign at P")
         self.normalized_sign = signs.pop()
         if self.normalized_sign < 0:

@@ -51,7 +51,6 @@ from gaugecones.gauges import (
     residue_decomposition,
 )
 from gaugecones.cones import (
-    ConeSpec,
     compatibility_suite,
     lift_set,
     nil_orderings,
@@ -198,8 +197,8 @@ def test_criterion_07_compatibility_suite():
     with budget(120):
         for ctx, etas in contexts():
             for eta in etas:
-                C = ConeSpec(ctx, OrderingSpec(eta))
-                report = compatibility_suite(C, sample_count=200, seed=107)
+                G = GaugeContext(ctx, OrderingSpec(eta))
+                report = compatibility_suite(G, sample_count=200, seed=107)
                 assert report.ok, {
                     k: v.violations for k, v in report.conditions.items() if not v.ok
                 }

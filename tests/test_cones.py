@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gaugecones import gauges
-from gaugecones.field import FunctionField, GammaVal, OrderingSpec, enumerate_orderings
+from gaugecones.field import (
+    FieldError,
+    FunctionField,
+    GammaVal,
+    OrderingSpec,
+    enumerate_orderings,
+)
 from gaugecones.algebra import (
     HermContext,
     Involution,
@@ -19,11 +25,15 @@ from gaugecones.algebra import (
     trace_form,
 )
 from gaugecones.matrices import MatE
-from gaugecones.gauges import adjoint, in_gauge_ring, residue_element
+from gaugecones.gauges import (
+    GaugeContext,
+    IndefiniteForm,
+    adjoint,
+    in_gauge_ring,
+    residue_element,
+)
 from gaugecones.cones import (
     AnisotropyResult,
-    ConeSpec,
-    InvalidCone,
     UnsupportedVariant,
     anisotropy_certificate,
     check_prepositive_axioms,
@@ -48,7 +58,7 @@ def F2():
 
 def make_cone(F, entries, eta=(1, 1), kind="base"):
     spec = {"base": base_spec, "complex": complex_spec, "hamilton": hamilton_spec}[kind](F)
-    return ConeSpec(HermContext(spec, tuple(entries)), OrderingSpec(eta))
+    return GaugeContext(HermContext(spec, tuple(entries)), OrderingSpec(eta))
 
 
 class TestConeMember:
@@ -71,22 +81,19 @@ class TestConeMember:
 
     def test_invalid_cone(self, F2):
         x, _ = F2.vars()
-        C = make_cone(F2, [F2.one, x], eta=(-1, 1))
-        assert not C.valid
-        with pytest.raises(InvalidCone):
-            cone_member(MatE.identity(C.espec, 2), C)
+        with pytest.raises(IndefiniteForm):
+            make_cone(F2, [F2.one, x], eta=(-1, 1))
 
     def test_negative_definite_form(self, F2):
         # all-negative form entries still give a cone containing 1
         C = make_cone(F2, [-F2.one, -F2.from_fraction(2)])
-        assert C.valid
         assert cone_member(MatE.identity(C.espec, 2), C)
 
     def test_flip_all_signs(self, F2):
         rng = random.Random(51)
         x, y = F2.vars()
         C = make_cone(F2, [F2.one, x * y], eta=(1, 1))
-        Cneg = ConeSpec(C.ctx, OrderingSpec((-1, -1)))
+        Cneg = GaugeContext(C.ctx, OrderingSpec((-1, -1)))
         for a in sample_cone(C, count=8, rng=rng):
             assert cone_member(a, C)
 
@@ -142,13 +149,12 @@ class TestResidueCone:
         x, _ = F2.vars()
         C = make_cone(F2, [F2.one, x, 2 * x])
         rc = residue_cone(C)
-        G = C.gauge()
         done = 0
         while done < 10:
             a = sample_cone(C, count=1, rng=rng)[0]
-            if not in_gauge_ring(a, G):
+            if not in_gauge_ring(a, C):
                 continue
-            assert rc.member(residue_element(a, G))
+            assert rc.member(residue_element(a, C))
             done += 1
 
     def test_residue_members_lift(self, F2):
@@ -164,27 +170,25 @@ class TestResidueCone:
                 assert rc.member(blocks)
                 a = rc.lift(blocks)
                 assert cone_member(a, C)
-                assert residue_element(a, C.gauge()) == blocks
+                assert residue_element(a, C) == blocks
 
     def test_negative_residue_forms_lift(self, F2):
         # at eta(x) = -1 the normalized form is <-x, -3x>, with negative residues
         rng = random.Random(57)
         x, _ = F2.vars()
         C = make_cone(F2, [x, 3 * x], eta=(-1, 1))
-        assert C.valid
         rc = residue_cone(C)
-        assert rc.block_specs[0].ctx.e[0].as_fraction() < 0
+        assert rc.block_specs[0].normalized_sign == -1
         for _ in range(5):
             blocks = [sample_cone(s, count=1, rng=rng)[0] for s in rc.block_specs]
             a = rc.lift(blocks)
             assert cone_member(a, C)
-            assert residue_element(a, C.gauge()) == blocks
+            assert residue_element(a, C) == blocks
 
     def test_residue_of_ideal_is_zero(self, F2):
         x, _ = F2.vars()
         C = make_cone(F2, [F2.one, x])
-        G = C.gauge()
-        blocks = residue_element(MatE.identity(C.espec, 2).scale(x), G)
+        blocks = residue_element(MatE.identity(C.espec, 2).scale(x), C)
         assert rc_all_zero(blocks)
         assert residue_cone(C).member(blocks)
 
@@ -213,6 +217,14 @@ class TestLifting:
         ctx = HermContext(base_spec(F2), (F2.one, F2.one))
         for P in enumerate_orderings(2):
             assert lift_exists(ctx, P)
+
+    def test_wrong_arity_is_rejected(self, F2):
+        x, y = F2.vars()
+        for spec in (QuatDivSpec(x, y, Involution.GAMMA),
+                     HermContext(base_spec(F2), (F2.one, x))):
+            for P in (OrderingSpec((-1,)), OrderingSpec(())):
+                with pytest.raises(FieldError, match="arity"):
+                    lift_exists(spec, P)
 
     def test_constant_form_lifts_everywhere(self, F2):
         ctx = HermContext(base_spec(F2), (F2.one, F2.from_fraction(2)))
@@ -378,15 +390,15 @@ class TestResidueOncePerGauge:
                             lambda ctx: calls.append(ctx) or decompose(ctx))
         x, _ = F2.vars()
         C = make_cone(F2, [F2.one, x])
-        assert calls == [C.gauge().ctx]
+        assert calls == [C.ctx]
         compatibility_suite(C, sample_count=5, seed=0)
         # the suite reads the stored decomposition; only the residue cone's
         # block forms are new, each decomposed once
-        assert sum(ctx is C.gauge().ctx for ctx in calls) == 1
+        assert sum(ctx is C.ctx for ctx in calls) == 1
         assert len({id(ctx) for ctx in calls}) == len(calls) == 3
         # a gauge of the same form at another ordering reads the cache
-        other = ConeSpec(C.ctx, OrderingSpec((1, -1)))
-        assert other.valid and other.gauge().residue is C.gauge().residue
+        other = GaugeContext(C.ctx, OrderingSpec((1, -1)))
+        assert other.residue is C.residue
         assert len(calls) == 3
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecones.field import (
     INF,
     ExprSyntaxError,
+    FieldError,
     FunctionField,
     GammaVal,
     NegativeValuation,
@@ -152,6 +153,18 @@ class TestPower:
             F2.zero ** -1
 
 
+class TestHash:
+    def test_constants_hash_as_numbers(self, F2):
+        # a constant equals its int or Fraction, so it must hash as one
+        x, _ = F2.vars()
+        for q in (0, 1, -3, Fraction(-7, 2)):
+            for c in (F2.from_fraction(q), x - x + q):
+                assert c == q and hash(c) == hash(q)
+                assert c in {q} and q in {c}
+                assert {c: "c"}.get(q) == "c" and {q: "q"}.get(c) == "q"
+        assert {F2.one: 0}.get(1) == 0
+
+
 class TestResidue:
     def test_examples(self, F2):
         x, y = F2.vars()
@@ -242,6 +255,14 @@ class TestSignSystems:
         assert solve_sign_system(2, [(0, 1)]).count == 0
         assert solve_sign_system(2, []).count == 4
         assert list(solve_sign_system(0, [])) == [OrderingSpec(())]
+
+    def test_membership_checks_arity(self):
+        S = solve_sign_system(2, [(0b10, 0)])
+        for P in (OrderingSpec((-1,)), OrderingSpec(()), OrderingSpec((1, 1, 1))):
+            with pytest.raises(FieldError, match="arity"):
+                P in S
+        with pytest.raises(FieldError, match="arity"):
+            OrderingSpec((1,)) in OrderingCoset(2, None)
 
     def test_sign_character(self, F2):
         x, y = F2.vars()
