@@ -21,8 +21,10 @@ from .field import (
     FieldError,
     FunctionField,
     GammaVal,
+    OrderingCoset,
     OrderingSpec,
     RatFunc,
+    common_sign_orderings,
 )
 
 
@@ -323,6 +325,11 @@ class HermContext:
     def half_vals(self) -> tuple[GammaVal, ...]:
         """v(e_i)/2, the shifts of the gauge, computed once per form."""
         return tuple(f.val().half() for f in self.e)
+
+    @functools.cached_property
+    def definite(self) -> OrderingCoset:
+        """The orderings at which h is definite, solved once per form."""
+        return common_sign_orderings(self.e)
 
     @functools.cached_property
     def negated(self) -> "HermContext":

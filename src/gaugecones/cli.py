@@ -40,7 +40,6 @@ from .matrices import NonRealCoefficient, reduced_charpoly
 from .gauges import GaugeContext, coset_index, is_dubrovin, value_coset_set
 from .cones import (
     check_prepositive_axioms,
-    common_sign_orderings,
     compatibility_suite,
     lift_set,
     nil_orderings,
@@ -275,10 +274,9 @@ def _run_per_ordering(name: str, cfg) -> dict:
     algebra = cfg["algebra"]
     if not isinstance(algebra, HermContext):
         return {"note": f"{analysis.noun} analysis applies to matrix presentations only"}
-    definite = common_sign_orderings(algebra.e)
     per = {}
     for P in cfg["orderings"]:
-        if P in definite:
+        if P in algebra.definite:
             report = analysis.at(GaugeContext(algebra, P), cfg)
             if analysis.first_only:
                 return report

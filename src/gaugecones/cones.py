@@ -27,6 +27,7 @@ from .field import (
     OrderingCoset,
     OrderingSpec,
     RatFunc,
+    common_sign_orderings,
     enumerate_orderings,
     solve_sign_system,
 )
@@ -330,16 +331,6 @@ def lift_exists(spec: AlgebraSpec, P: OrderingSpec) -> bool:
     return P in liftable_orderings(spec)
 
 
-def common_sign_orderings(entries: Sequence[RatFunc]) -> OrderingCoset:
-    """The orderings at which the entries all share a sign.
-
-    With sign_P(f) = (-1)^(s_f + <a_f, t>) this is the system
-    <a_k + a_0, t> = s_k + s_0 over GF(2): empty or 2^(r - rank) orderings.
-    """
-    (a0, s0), *rest = (f.sign_character() for f in entries)
-    return solve_sign_system(entries[0].field.r, ((a ^ a0, s ^ s0) for a, s in rest))
-
-
 def liftable_orderings(spec: AlgebraSpec) -> OrderingCoset:
     """The orderings over which the residue cone lifts: those where the trace
     form of the algebra with involution is definite.
@@ -347,8 +338,9 @@ def liftable_orderings(spec: AlgebraSpec) -> OrderingCoset:
     On (M_n(E), ad_h) the trace form is <positive constants> (x) h (x) h^-1,
     definite at P iff the entries e_i of h share a sign there.
     """
-    entries = spec.e if isinstance(spec, HermContext) else trace_form(spec).entries
-    return common_sign_orderings(entries)
+    if isinstance(spec, HermContext):
+        return spec.definite
+    return common_sign_orderings(trace_form(spec).entries)
 
 
 @dataclass

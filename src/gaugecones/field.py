@@ -3,25 +3,36 @@
 The field carries the lex monomial valuation (first declared variable most
 significant) with value group Z^r ordered lexicographically, and the family
 of compatible orderings given by a sign for each variable.  All arithmetic
-is exact.  An element is a quotient of two coprime polynomials with integer
-coefficients (content included), the leading coefficient of the denominator
-(that of its lex-largest term) positive, so a constant such as 1/2 keeps its
-2 in the denominator.  This form is canonical: equality of field elements is
-structural.
+is exact, and every element has one canonical form of two kinds:
 
-Arithmetic runs through two ladders, one for sums and one for products,
-each deciding without sympy what it can: a zero operand returns the other
-operand, its negation or zero; a product of two monomials (one-term
-numerator and denominator each) is built in closed form, exponents added
-and the coefficient reduced by its gcd; sums and products of polynomials
-skip the gcd.  Everything else goes through sympy's fraction field, which
-cancels by gcd.  Division and negative powers are products with the
-reciprocal, which swaps numerator and denominator and needs no gcd.  Each
-path yields the same canonical form.
+- a non-zero monomial num/den * x^exps is the triple (exps, num, den), an
+  exponent tuple of either sign with coprime integers num != 0 and den > 0;
+- every other element, zero included, is a sympy fraction: a quotient of
+  two coprime polynomials with integer coefficients (content included),
+  the leading coefficient of the denominator (that of its lex-largest
+  term) positive, so a constant such as 1/2 keeps its 2 in the
+  denominator.
 
-Valuation, leading term, sign at an ordering and residue all read one walk
-for the lex-minimal terms of numerator and denominator.  The sign is the
-Baer-Krull formula sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i).
+A one-term quotient is always held as its triple, so equality of field
+elements is structural.  The sympy fraction of a triple is built when it
+is first read, and then kept.
+
+Arithmetic runs through two ladders, one for sums and one for products.
+On two triples a product is a closed form: it adds the exponents and
+reduces the product of the coefficients by their gcd.  So is a sum of like
+monomials, whose one coefficient is reduced by a gcd.  Negation, the
+reciprocal and powers of a triple stay triples.  Otherwise a zero operand
+returns the other operand, its negation or zero, and sums and products of
+polynomials skip the gcd.  Everything else, a sum of unlike monomials and
+any operation with a non-monomial operand, goes through sympy's fraction
+field, which cancels by gcd.  Division and negative powers are products
+with the reciprocal, which swaps numerator and denominator and needs no
+gcd.  Each path yields the same canonical form.
+
+Valuation, leading term, sign at an ordering and residue read the triple
+or, for a fraction, one walk for the lex-minimal terms of numerator and
+denominator.  The sign is the Baer-Krull formula
+sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i).
 """
 
 from __future__ import annotations
@@ -309,6 +320,16 @@ def _reduced_echelon(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
+def common_sign_orderings(entries: Sequence["RatFunc"]) -> OrderingCoset:
+    """The orderings at which the entries all share a sign.
+
+    With sign_P(f) = (-1)^(s_f + <a_f, t>) this is the system
+    <a_k + a_0, t> = s_k + s_0 over GF(2): empty or 2^(r - rank) orderings.
+    """
+    (a0, s0), *rest = (f.sign_character() for f in entries)
+    return solve_sign_system(entries[0].field.r, ((a ^ a0, s ^ s0) for a, s in rest))
+
+
 # ---------------------------------------------------------------------------
 # The field and its elements
 # ---------------------------------------------------------------------------
@@ -342,20 +363,17 @@ class FunctionField:
             coeff = Fraction(coeff)
         if not coeff:
             return self.zero
-        return self._monomial(
-            [int(e) for e in exponents], coeff.numerator, coeff.denominator
-        )
+        return _monomial(self, (tuple([int(e) for e in exponents]),
+                                coeff.numerator, coeff.denominator))
 
-    def _monomial(self, exps: list[int], num: int, den: int) -> "RatFunc":
-        """num/den * x^exps for coprime integers num != 0 and den > 0.
-
-        The quotient of coprime monomials is already canonical, so no
-        cancellation is needed."""
+    def _fraction(self, exps: tuple[int, ...], num: int, den: int):
+        """The sympy fraction num/den * x^exps for coprime integers num != 0
+        and den > 0: the quotient of coprime monomials is already reduced."""
         term, zz = self._ring.dtype, self._ring.domain.dtype
-        return RatFunc(self, self._field.raw_new(
+        return self._field.raw_new(
             term({tuple([e if e > 0 else 0 for e in exps]): zz(num)}),
             term({tuple([-e if e < 0 else 0 for e in exps]): zz(den)}),
-        ))
+        )
 
     def parse(self, src: str) -> "RatFunc":
         return _Parser(self, src).parse()
@@ -375,76 +393,122 @@ def _is_one(poly) -> bool:
     return len(poly) == 1 and poly.get(poly.ring.zero_monom) == 1
 
 
-def _reciprocal(f):
-    """1/f for a fraction f in canonical form: numerator and denominator
-    swap, both negated when the new denominator's leading coefficient (in
-    sympy's lex order) is negative.  They stay coprime, so no gcd is needed."""
-    if not f:
-        raise ZeroDivisionError("division by zero rational function")
-    n, d = f.numer, f.denom
-    return f.raw_new(-d, -n) if n.LC < 0 else f.raw_new(d, n)
+_new = object.__new__
+
+
+def _monomial(field: FunctionField, m: tuple) -> "RatFunc":
+    """The element held as the triple m = (exps, num, den), which must be in
+    canonical form; its sympy fraction is built when first read."""
+    x = _new(RatFunc)
+    x.field = field
+    x._m = m
+    x._frac = None
+    return x
 
 
 class RatFunc:
-    """Element of a FunctionField, stored in canonical reduced form: coprime
+    """Element of a FunctionField, in one of two canonical forms.
+
+    A non-zero monomial num/den * x^exps is the triple _m = (exps, num,
+    den): an exponent tuple of either sign, a non-zero integer numerator
+    and a positive integer denominator, coprime.  Every other element,
+    zero included, has _m None and is the sympy fraction _frac: coprime
     numerator and denominator in Z[x_1,...,x_r], the denominator's leading
-    coefficient positive.
+    coefficient positive.  RatFunc(field, frac) takes any canonical
+    fraction and holds a one-term quotient as its triple, so an element is
+    a monomial exactly when it is a triple, and equality compares like
+    forms.  _f is the sympy fraction of either form, built for a triple
+    when first read and then kept.
 
-    Sums go through _sum, products and quotients through _product, and
-    quotients and negative powers take the closed-form reciprocal (see the
-    module docstring); the tests check each fast path against sympy's
-    general fraction arithmetic."""
+    Products of monomials, sums of like monomials, negation, the
+    reciprocal and powers of a monomial are computed on the triples; an
+    operation with a non-monomial operand, or a sum of unlike monomials,
+    goes through _f (see the module docstring).  The tests check each path
+    against sympy's general fraction arithmetic."""
 
-    __slots__ = ("field", "_f")
+    __slots__ = ("field", "_m", "_frac")
 
     def __init__(self, field: FunctionField, frac):
         self.field = field
-        self._f = frac
+        self._frac = frac
+        n, d = frac.numer, frac.denom
+        if len(n) == 1 and len(d) == 1:
+            (en, cn), = n.items()
+            (ed, cd), = d.items()
+            self._m = (tuple(map(operator.sub, en, ed)), int(cn), int(cd))
+        else:
+            self._m = None
+
+    @property
+    def _f(self):
+        f = self._frac
+        if f is None:
+            f = self._frac = self.field._fraction(*self._m)
+        return f
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
             if other.field is not self.field and other.field != self.field:
                 raise FieldError("elements of different fields")
-            return other._f
+            return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)._f
+            return self.field.from_fraction(other)
         return NotImplemented
 
-    def _sum(self, o, op) -> "RatFunc":
-        """op(self, o) for op operator.add or operator.sub and o a fraction
-        of this field."""
-        f = self._f
-        if not o:
-            return self
-        if f and _is_one(f.denom) and _is_one(o.denom):
-            # two polynomials: the sum needs no gcd
-            return RatFunc(self.field, f.raw_new(op(f.numer, o.numer), f.denom))
-        # for f = 0 sympy returns o or -o at once; otherwise it cancels by gcd
-        return RatFunc(self.field, op(f, o))
-
-    def _product(self, o) -> "RatFunc":
-        """self * o for a fraction o of this field."""
-        f = self._f
-        if not f or not o:
-            return self.field.zero
-        fn, fd, on, od = f.numer, f.denom, o.numer, o.denom
-        if len(fn) == len(fd) == len(on) == len(od) == 1:
-            # monomial times monomial: add the exponents, multiply the
-            # coefficients; the reduced quotient keeps the result canonical
-            (m1, c1), = fn.items()
-            (n1, k1), = fd.items()
-            (m2, c2), = on.items()
-            (n2, k2), = od.items()
-            c, k = int(c1 * c2), int(k1 * k2)
+    def _sum(self, o: "RatFunc", op) -> "RatFunc":
+        """op(self, o) for op operator.add or operator.sub."""
+        m, n = self._m, o._m
+        if m is not None and n is not None and m[0] == n[0]:
+            # like monomials: one coefficient, reduced by its gcd
+            c, k = op(m[1] * n[2], n[1] * m[2]), m[2] * n[2]
+            if not c:
+                return self.field.zero
             g = math.gcd(c, k)
-            return self.field._monomial(
-                [p + q - s - t for p, q, s, t in zip(m1, m2, n1, n2)], c // g, k // g
-            )
-        if _is_one(fd) and _is_one(od):
-            return RatFunc(self.field, f.raw_new(fn * on, fd))
-        return RatFunc(self.field, f * o)
+            return _monomial(self.field, (m[0], c // g, k // g))
+        if o.is_zero:
+            return self
+        if self.is_zero:
+            return o if op is operator.add else -o
+        f, h = self._f, o._f
+        if _is_one(f.denom) and _is_one(h.denom):
+            # two polynomials: the sum needs no gcd
+            return RatFunc(self.field, f.raw_new(op(f.numer, h.numer), f.denom))
+        return RatFunc(self.field, op(f, h))
+
+    def _product(self, o: "RatFunc") -> "RatFunc":
+        """self * o."""
+        m, n = self._m, o._m
+        if m is not None and n is not None:
+            # monomial times monomial: add the exponents, multiply the
+            # coefficients and reduce them by their gcd
+            c, k = m[1] * n[1], m[2] * n[2]
+            g = math.gcd(c, k)
+            return _monomial(self.field, (tuple(map(operator.add, m[0], n[0])),
+                                          c // g, k // g))
+        if self.is_zero or o.is_zero:
+            return self.field.zero
+        f, h = self._f, o._f
+        if _is_one(f.denom) and _is_one(h.denom):
+            return RatFunc(self.field, f.raw_new(f.numer * h.numer, f.denom))
+        return RatFunc(self.field, f * h)
+
+    def _reciprocal(self) -> "RatFunc":
+        """1/self: numerator and denominator swap, both negated when the new
+        denominator's leading coefficient (in sympy's lex order, or the
+        triple's num) is negative.  They stay coprime, so no gcd is needed."""
+        m = self._m
+        if m is None:
+            f = self._frac
+            if not f:
+                raise ZeroDivisionError("division by zero rational function")
+            n, d = f.numer, f.denom
+            return RatFunc(self.field, f.raw_new(-d, -n) if n.LC < 0 else f.raw_new(d, n))
+        exps, num, den = m
+        if num < 0:
+            num, den = -num, -den
+        return _monomial(self.field, (tuple([-e for e in exps]), den, num))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -458,9 +522,7 @@ class RatFunc:
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(self.field, o)._sum(self._f, operator.sub)
+        return o if o is NotImplemented else o._sum(self, operator.sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -470,79 +532,97 @@ class RatFunc:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        return o if o is NotImplemented else self._product(_reciprocal(o))
+        return o if o is NotImplemented else self._product(o._reciprocal())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatFunc(self.field, o)._product(_reciprocal(self._f))
+        return o if o is NotImplemented else o._product(self._reciprocal())
 
     def __neg__(self):
-        return RatFunc(self.field, -self._f)
+        m = self._m
+        if m is None:
+            return RatFunc(self.field, -self._frac)
+        return _monomial(self.field, (m[0], -m[1], m[2]))
 
     def __pow__(self, n: int):
-        return RatFunc(self.field, (self._f if n >= 0 else _reciprocal(self._f)) ** abs(n))
+        x = self if n >= 0 else self._reciprocal()
+        n = abs(n)
+        m = x._m
+        if m is None:
+            return RatFunc(self.field, x._frac ** n)
+        return _monomial(self.field, (tuple([e * n for e in m[0]]), m[1] ** n, m[2] ** n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_fraction(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.field == other.field and self._f == other._f
+        if self.field is not other.field and self.field != other.field:
+            return False
+        m, n = self._m, other._m
+        if m is not None or n is not None:
+            return m == n
+        return self._frac == other._frac
 
     def __hash__(self):
         # a constant equals its int or Fraction, so it hashes as that number.
-        # Otherwise from the terms, not sympy's cached polynomial hash:
-        # PolyElement.square caches the hash of its half-built result, so a
-        # square from sympy hashes apart from an equal element
-        if self.is_constant():
-            return hash(self.as_fraction())
-        f = self._f
+        # A quotient of sums hashes from its terms, not sympy's cached
+        # polynomial hash: PolyElement.square caches the hash of its
+        # half-built result, so a square from sympy hashes apart from an
+        # equal element
+        m = self._m
+        if m is not None:
+            return hash((self.field, m)) if any(m[0]) else hash(Fraction(m[1], m[2]))
+        f = self._frac
+        if not f:
+            return hash(Fraction(0))
         return hash((self.field, frozenset(f.numer.items()), frozenset(f.denom.items())))
 
     def __bool__(self):
-        return bool(self._f)
+        return self._m is not None or bool(self._frac.numer)
 
     @property
     def is_zero(self) -> bool:
-        return not self._f
+        return self._m is None and not self._frac.numer
 
     def is_constant(self) -> bool:
-        return self._f.denom.is_ground and (
-            not self._f.numer or self._f.numer.is_ground
-        )
+        # a non-zero constant is a monomial
+        m = self._m
+        return not self._frac if m is None else not any(m[0])
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise FieldError("not a constant")
-        if not self._f.numer:
-            return Fraction(0)
-        return Fraction(int(self._f.numer.coeff(1)), int(self._f.denom.coeff(1)))
+        m = self._m
+        return Fraction(0) if m is None else Fraction(m[1], m[2])
 
     # -- valuation-theoretic structure -------------------------------------
 
-    def _lead(self) -> tuple[list[int], int, int]:
+    def _lead(self) -> tuple[tuple[int, ...], int, int]:
         """(exps, cn, cd) with (cn/cd) x^exps the valuation-leading monomial:
-        cn and cd are the lex-minimal coefficients of numerator and
-        denominator.  cd may be negative, as the canonical form makes only
-        the denominator's lex-largest coefficient positive."""
-        if not self._f:
+        the triple itself, or the quotient of the lex-minimal terms of
+        numerator and denominator.  cd may then be negative, as the
+        canonical form makes only the denominator's lex-largest coefficient
+        positive."""
+        m = self._m
+        if m is not None:
+            return m
+        if not self._frac:
             raise FieldError("zero has no leading term")
-        en, cn = min(self._f.numer.items())
-        ed, cd = min(self._f.denom.items())
-        return [a - b for a, b in zip(en, ed)], int(cn), int(cd)
+        en, cn = min(self._frac.numer.items())
+        ed, cd = min(self._frac.denom.items())
+        return tuple(map(operator.sub, en, ed)), int(cn), int(cd)
 
     def val(self) -> GammaVal:
         """Lex monomial valuation; INF on zero."""
-        if not self._f:
+        if self.is_zero:
             return GammaVal.infinity()
         return GammaVal(self._lead()[0])
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         """Exponent vector and coefficient of the valuation-leading monomial."""
         exps, cn, cd = self._lead()
-        return tuple(exps), Fraction(cn, cd)
+        return exps, Fraction(cn, cd)
 
     def sign_character(self) -> tuple[int, int]:
         """(a, s) with sign_P(self) = (-1)^(s + <a, P.bits>) at every ordering
@@ -559,14 +639,14 @@ class RatFunc:
         """Sign of the element at the compatible ordering P."""
         if len(P.eta) != self.field.r:
             raise FieldError("ordering arity mismatch")
-        if not self._f:
+        if self.is_zero:
             return 0
         a, s = self.sign_character()
         return -1 if (s + (a & P.bits).bit_count()) & 1 else 1
 
     def residue(self) -> Fraction:
         """Image in the residue field Q; requires nonnegative valuation."""
-        if not self._f:
+        if self.is_zero:
             return Fraction(0)
         exps, cn, cd = self._lead()
         first = next((e for e in exps if e), 0)  # decides the lex sign of v
@@ -710,6 +790,11 @@ def newton_root_valuations(p: PolyX) -> list[GammaVal]:
 # Expression parser
 # ---------------------------------------------------------------------------
 
+# The largest power the parser accepts: (1+x+y)^N has (N+1)(N+2)/2 terms and
+# 2^N is an N-bit integer, so an unbounded exponent such as x^1000000000
+# would start a computation that does not end
+MAX_EXPONENT = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
 
@@ -718,7 +803,7 @@ class _Parser:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base (('^'|'**') posint)?
+    factor := base (('^'|'**') posint)?      posint <= MAX_EXPONENT
     base   := int | var | '(' expr ')'
 
     '**' is read as '^', so the str() of an element parses back to it.
@@ -804,6 +889,9 @@ class _Parser:
             kind, text, pos = self._next()
             if kind != "int":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+            # the length test keeps int() off digit strings of any size
+            if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
             v = v ** int(text)
         return v
 

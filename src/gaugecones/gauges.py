@@ -44,7 +44,8 @@ class GaugeContext:
     """A gauge on (M_n(E), ad_h) at a compatible ordering, and the positive
     cone containing 1 over it (see the cones module).
 
-    The form must be definite at P; if every entry is negative the context
+    The form must be definite at P, that is P must lie in the form's cached
+    set of definite orderings; if every entry is negative the context
     stores the negated form (same adjoint involution, same gauge) and records
     normalized_sign = -1.  residue is the residue decomposition; it and the
     shifts v(e_i)/2 are read from the form's caches, so the gauges of one
@@ -54,10 +55,9 @@ class GaugeContext:
     __slots__ = ("ctx", "P", "normalized_sign", "residue")
 
     def __init__(self, ctx: HermContext, P: OrderingSpec):
-        signs = {f.sign_at(P) for f in ctx.e}
-        if len(signs) != 1:
+        if P not in ctx.definite:
             raise IndefiniteForm("form entries must share a strict sign at P")
-        self.normalized_sign = signs.pop()
+        self.normalized_sign = ctx.e[0].sign_at(P)
         if self.normalized_sign < 0:
             ctx = ctx.negated
         self.ctx = ctx

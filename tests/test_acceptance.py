@@ -62,10 +62,13 @@ from gaugecones.cli import scenario_m6_index_example
 
 @contextmanager
 def budget(seconds):
+    """Fail a criterion that runs past its budget; on a pass, print the
+    elapsed time against the budget (shown by pytest -s or -rP)."""
     start = time.monotonic()
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"exceeded {seconds}s budget: {elapsed:.1f}s"
+    print(f"elapsed {elapsed:.2f}s of {seconds}s budget")
 
 
 def contexts():

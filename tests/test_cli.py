@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gaugecones import cli
+from gaugecones.field import MAX_EXPONENT, RatFunc
 from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
@@ -133,6 +134,27 @@ class TestAllOrderingsBound:
         # at the bound, ALL is still enumerated
         parse_config(dict(doc, vars=wide[:-1]))
         assert built == [cli.MAX_ALL_ORDERING_VARS]
+
+
+class TestExponentBound:
+    def test_huge_exponent_exits_2_without_computing(self, tmp_path, capsys, monkeypatch):
+        powers = []
+        pow_ = RatFunc.__pow__
+
+        def recording_pow(self, n):
+            powers.append(n)
+            assert n <= MAX_EXPONENT, "a power above the bound was computed"
+            return pow_(self, n)
+
+        monkeypatch.setattr(RatFunc, "__pow__", recording_pow)
+        doc = dict(BASE_DOC, algebra={"variant": "matrix", "kind": "base",
+                                      "form": ["1", "x^1000000000"]})
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: algebra: exponent exceeds" in err
+        assert "(at position 2)" in err
+        assert "Traceback" not in err
+        assert powers == []
 
 
 class TestWideField:

@@ -90,12 +90,21 @@ class TestConeMember:
         assert cone_member(MatE.identity(C.espec, 2), C)
 
     def test_flip_all_signs(self, F2):
+        # <1, xy> is definite at (+,+) and at (-,-); flipping every sign
+        # flips the sign of x, so x*I and -x*I swap cones
         rng = random.Random(51)
         x, y = F2.vars()
         C = make_cone(F2, [F2.one, x * y], eta=(1, 1))
         Cneg = GaugeContext(C.ctx, OrderingSpec((-1, -1)))
+        xI = MatE.identity(C.espec, 2).scale(x)
+        assert cone_member(xI, C)
+        assert not cone_member(xI, Cneg)
+        assert cone_member(-xI, Cneg)
+        assert not cone_member(-xI, C)
         for a in sample_cone(C, count=8, rng=rng):
             assert cone_member(a, C)
+        for a in sample_cone(Cneg, count=8, rng=rng):
+            assert cone_member(a, Cneg)
 
 
 class TestSampling:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaugecones.field import (
     INF,
+    MAX_EXPONENT,
     ExprSyntaxError,
     FieldError,
     FunctionField,
@@ -371,6 +372,17 @@ class TestParser:
             F2.parse("x + @")
         assert e.value.position == 4
 
+    def test_exponent_bound(self, F2):
+        x, y = F2.vars()
+        assert F2.parse(f"x^{MAX_EXPONENT}") == x ** MAX_EXPONENT
+        assert F2.parse(f"y^00{MAX_EXPONENT}") == y ** MAX_EXPONENT
+        for src, position in ((f"x^{MAX_EXPONENT + 1}", 2),
+                              ("(x+y)**1000000000", 7),
+                              ("2^" + "9" * 5000, 2)):
+            with pytest.raises(ExprSyntaxError, match="exponent exceeds") as e:
+                F2.parse(src)
+            assert e.value.position == position
+
     def test_parse_element_helper(self):
         f = parse_element("x*y + 3", ["x", "y"])
         assert f.val() == GammaVal([0, 0])
@@ -432,6 +444,36 @@ def _same(result: RatFunc, expected) -> bool:
     return result._f == expected and str(result) == str(expected)
 
 
+def _matches_fraction(x: RatFunc, f) -> None:
+    """x against the sympy fraction f of the same value: x is a triple
+    exactly when f is a one-term quotient; x has f's fraction, printed form
+    and hash and equals RatFunc(F, f); and x's readings equal those computed
+    from f's terms."""
+    F = x.field
+    y = RatFunc(F, f)
+    assert x == y and x._f == f and str(x) == str(f) and hash(x) == hash(y)
+    assert (x._m is not None) == (len(f.numer) == len(f.denom) == 1)
+    constant = f.numer.is_ground and f.denom.is_ground
+    assert x.is_constant() == constant
+    if constant:
+        assert x.as_fraction() == Fraction(int(f.numer.coeff(1)), int(f.denom.coeff(1)))
+    if not f:
+        assert x.is_zero and x.val() == INF and x.residue() == 0
+        return
+    # terms() runs from the lex-largest term down, so the valuation's
+    # leading terms come last
+    (en, cn), (ed, cd) = f.numer.terms()[-1], f.denom.terms()[-1]
+    v = tuple(p - q for p, q in zip(en, ed))
+    assert x.val() == GammaVal(v)
+    odd = sum(1 << (F.r - 1 - i) for i, e in enumerate(v) if e % 2)
+    assert x.sign_character() == (odd, int((cn < 0) != (cd < 0)))
+    if v < (0,) * F.r:
+        with pytest.raises(NegativeValuation):
+            x.residue()
+    else:
+        assert x.residue() == (Fraction(int(cn), int(cd)) if not any(v) else 0)
+
+
 class TestFastPathOracle:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -470,6 +512,42 @@ class TestFastPathOracle:
         assert _same(b / a, g / f)  # monomial or quotient / monomial
         n = data.draw(st.integers(1, 3))
         assert _same(c ** -n, K.one / h ** n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_triple_form_matches_sympy(self, data):
+        # a non-zero monomial is held as an (exps, num, den) triple and
+        # everything else as a sympy fraction; every operation and reading
+        # is compared with sympy's arithmetic on F._field, and every result
+        # with the same value built by RatFunc(F, frac), by F.monomial and
+        # by parsing its printed form
+        F = data.draw(st.sampled_from(ORACLE_FIELDS))
+        K = F._field
+        kinds = ("zero", "monomial", "monomial", "monomial", "polynomial", "rational")
+        f, g = (data.draw(fracs(F, kinds)) for _ in "fg")
+        q = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+        n = data.draw(st.integers(-3, 3))
+        a, b = RatFunc(F, f), RatFunc(F, g)
+        c, h = a * q, f * K(q.numerator) / K(q.denominator)  # like a when a is a monomial
+        cases = [(a, f), (b, g), (c, h), (-a, -f), (a + b, f + g), (a - b, f - g),
+                 (a * b, f * g), (a + c, f + h), (a - c, f - h), (c - a, h - f)]
+        for x, y, fx, fy in ((a, b, f, g), (a, c, f, h)):
+            if fy:
+                cases.append((x / y, fx / fy))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+        if f:
+            cases.append((a ** n, f ** n if n >= 0 else K.one / f ** -n))
+        elif n < 0:
+            with pytest.raises(ZeroDivisionError):
+                a ** n
+        for x, expected in cases:
+            _matches_fraction(x, expected)
+            _matches_fraction(F.parse(str(x)), expected)
+            if x._m is not None:
+                exps, num, den = x._m
+                _matches_fraction(F.monomial(exps, Fraction(num, den)), expected)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
