@@ -64,6 +64,10 @@ ANALYSES = (
 # give the particular solution, the directions and the count instead
 MAX_ALL_ORDERING_VARS = 16
 
+# The most samples sampleCount or --samples may ask for: a compat sample
+# costs milliseconds at each ordering, so this many already take minutes
+MAX_SAMPLE_COUNT = 10_000
+
 
 class ConfigError(Exception):
     def __init__(self, message: str, location: str):
@@ -163,6 +167,8 @@ def _sample_count(n: int, location: str) -> int:
     # below 1 every sampled condition would pass having tried nothing
     if n < 1:
         raise ConfigError(f"{location} must be at least 1", location)
+    if n > MAX_SAMPLE_COUNT:
+        raise ConfigError(f"{location} must be at most {MAX_SAMPLE_COUNT}", location)
     return n
 
 

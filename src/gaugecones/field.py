@@ -545,7 +545,9 @@ class RatFunc:
         return _monomial(self.field, (m[0], -m[1], m[2]))
 
     def __pow__(self, n: int):
-        x = self if n >= 0 else self._reciprocal()
+        if n == 0:
+            return self.field.one  # zero included, as Fraction(0) ** 0
+        x = self if n > 0 else self._reciprocal()
         n = abs(n)
         m = x._m
         if m is None:
@@ -795,6 +797,13 @@ def newton_root_valuations(p: PolyX) -> list[GammaVal]:
 # would start a computation that does not end
 MAX_EXPONENT = 100
 
+# The most terms the parser lets a power's numerator or denominator have,
+# counted before computing it: f with t terms has at most C(N+t-1, t-1) terms
+# in f^N.  (1+x+y)^60 has 1,891 terms and parses in milliseconds;
+# (1+x+y+z)^100 has 176,851 and takes a second, and a sum of ten variables
+# to the 100th would have about 4.7e13
+MAX_POWER_TERMS = 10_000
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
 
@@ -803,7 +812,8 @@ class _Parser:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base (('^'|'**') posint)?      posint <= MAX_EXPONENT
+    factor := base (('^'|'**') posint)?      posint <= MAX_EXPONENT, and the
+                                             power within MAX_POWER_TERMS
     base   := int | var | '(' expr ')'
 
     '**' is read as '^', so the str() of an element parses back to it.
@@ -892,7 +902,11 @@ class _Parser:
             # the length test keeps int() off digit strings of any size
             if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
-            v = v ** int(text)
+            n = int(text)
+            t = 1 if v._m is not None else max(len(v._frac.numer), len(v._frac.denom))
+            if math.comb(n + t - 1, t - 1) > MAX_POWER_TERMS:
+                raise ExprSyntaxError(f"power would have more than {MAX_POWER_TERMS} terms", pos)
+            v = v ** n
         return v
 
     def _base(self) -> RatFunc:

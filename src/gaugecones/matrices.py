@@ -6,20 +6,25 @@ the base field, right-eigenvalue tests, Cayley-Hamilton verification, exact
 positive-semidefiniteness at an ordering, and extraction of eigenvalues lying
 in the base field.
 
-Everything is division-free up to a final cancellation: characteristic
-polynomials by Berkowitz's recursion, and the inverse by the Cayley-Hamilton
-identity on the matrix with its denominators cleared, whose Horner tail
-cayley_hamilton_check shares.
+Characteristic polynomials, the Cayley-Hamilton check and the inverse are
+division-free kernels on the matrix with its denominators cleared, d M with
+d the lcm of the coordinate denominators, held as coordinate term lists over
+Z[x_1,...,x_r]: Berkowitz's recursion for the characteristic polynomial and
+Horner's rule for the Cayley-Hamilton tail, each sum of products in E one
+fused dot product.  Field elements are built from the results only: the
+charpoly of M by one rescale by powers of d, the inverse by one scalar
+division.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from sympy import ZZ
 from sympy.polys.rings import ring as _sympy_ring
 
-from .field import FieldError, PolyX, RatFunc, OrderingSpec
+from .field import FieldError, PolyX, RatFunc, OrderingSpec, _is_one, _monomial
 from .algebra import EElement, EKind, ESpec, SpecMismatch, complex_spec
 
 
@@ -114,8 +119,10 @@ class MatE:
     def __mul__(self, other: "MatE") -> "MatE":
         if self.m != other.n:
             raise DimensionMismatch("inner sizes differ")
+        zero = self.spec.zero()
         cols = list(zip(*other.rows))
-        return MatE(self.spec, [[_dot(r, c, self.spec) for c in cols] for r in self.rows])
+        return MatE(self.spec, [[sum([a * b for a, b in zip(r, c)], zero) for c in cols]
+                                for r in self.rows])
 
     def scale(self, f) -> "MatE":
         return MatE(self.spec, [[a.scale(f) for a in r] for r in self.rows])
@@ -149,7 +156,7 @@ class MatE:
         (the reduced one over F and the quaternions, det(X - M') over
         F(sqrt(-1))), p(M') = B M' + p_0 I = 0, where B is the Horner tail
         of p at M'; so M^-1 = -d B / p_0, and M is singular iff p_0 = 0.
-        Everything up to B stays on polynomial arithmetic; the end costs
+        Everything up to B runs on the cleared polynomials; the end costs
         one scalar division and one cancellation per non-zero coordinate.
         Over F(sqrt(-1)), 1/p_0 is conj(p_0)/n_E(p_0).
 
@@ -159,24 +166,24 @@ class MatE:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         spec = self.spec
-        d, cleared = _clear_denominators([c for r in self.rows for q in r for c in q.coords])
-        it = iter(cleared)
-        Mc = MatE(spec, [
-            [EElement(spec, tuple(next(it) for _ in range(spec.dim))) for _ in r]
-            for r in self.rows
-        ])
+        _check_kind(spec)
+        F = spec.field
+        d, A = _cleared(self)
+        mul = F._ring.monomial_mul
         if spec.kind is EKind.COMPLEX:
-            p = _charpoly_commutative(Mc)
-            divisor = p[0].norm()
+            p = _charpoly_commutative(A, spec.products, F._ring)
+            divisor = _ratfunc(F, _norm_coeffs(p[:1], spec.products, mul)[0])
         else:
-            p = reduced_charpoly(Mc).coeffs
-            divisor = p[0]
+            p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A, F._ring)]
+            divisor = _ratfunc(F, p[0][0])
         if divisor.is_zero:
             raise Singular("matrix is not invertible")
-        B = _horner_tail(Mc, p)
+        B = _horner_tail(A, p, spec.products, mul)
         if spec.kind is EKind.COMPLEX:
-            c = p[0].conj()
-            B = MatE(spec, [[x * c for x in r] for r in B.rows])
+            c = (p[0][0], _negated(p[0][1]))
+            B = [[_dot((x,), (c,), spec.products, mul) for x in r] for r in B]
+        B = MatE(spec, [[EElement(spec, tuple([_ratfunc(F, c) for c in x])) for x in r]
+                        for r in B])
         return B.scale(-d / divisor)
 
     def __eq__(self, other):
@@ -218,87 +225,208 @@ def chi(M: MatE) -> MatE:
     return MatE(C, top + bot)
 
 
-def _charpoly_commutative(M: MatE) -> list[EElement]:
-    """Coefficients of det(X - M), constant first, over a commutative E, by
-    Berkowitz's division-free recursion (Inf. Proc. Letters 18, 1984).
+# The kernels below run on a matrix with its denominators cleared.  A
+# polynomial of Z[x_1, ..., x_r] is a term list [(exponents, integer), ...]
+# without zero coefficients, as sympy's PolyElement.items() gives it; an
+# element of E is the tuple of its coordinates' term lists, an empty list for
+# a zero coordinate; a matrix is a sequence of rows of elements.  The kernels
+# only add and multiply, so no RatFunc is built before the result.
 
-    Each trailing principal block A = [[a, R], [C, A1]] has p_A = T p_A1,
-    where T is the lower-triangular Toeplitz matrix with first column
-    1, -a, -R C, -R A1 C, -R A1^2 C, ...  Only ring operations occur, about
-    n^4/4 multiplications in E, so integral entries stay integral.
-    """
-    A = M.rows
-    n = M.n
-    p = [M.spec.one()]  # det(X - A1) for the empty block, leading coefficient first
+
+def _dot(u, v, table, mul, init=None, neg=False):
+    """init + sum of u_k v_k (minus the sum if neg) for elements of an
+    algebra whose structure constants, table as in ESpec.products, are +-1.
+
+    Every term product of every coordinate pair goes straight into one dict
+    per output coordinate, with the sign of its structure constant: no
+    product polynomial is built and no partial sum is copied.  mul adds two
+    exponent tuples (PolyRing.monomial_mul)."""
+    acc = [dict(xs) for xs in init] if init is not None else [{} for _ in table]
+    for x, y in zip(u, v):
+        for i, xs in enumerate(x):
+            if not xs:
+                continue
+            row = table[i]
+            for j, ys in enumerate(y):
+                if not ys:
+                    continue
+                k, sign, _ = row[j]
+                out = acc[k]
+                get = out.get
+                flip = (sign < 0) is not neg
+                for e1, c1 in xs:
+                    if flip:
+                        c1 = -c1
+                    for e2, c2 in ys:
+                        e = mul(e1, e2)
+                        out[e] = get(e, 0) + c1 * c2
+    return tuple([[(e, c) for e, c in out.items() if c] for out in acc])
+
+
+def _charpoly_commutative(A, table, ring) -> list:
+    """Coefficients of det(X - A), constant first, for a cleared matrix A
+    over a commutative E, by Berkowitz's division-free recursion (Inf.
+    Proc. Letters 18, 1984).
+
+    Each trailing principal block [[a, R], [C, A1]] has p = T p_A1, where T
+    is the lower-triangular Toeplitz matrix with first column 1, -a, -R C,
+    -R A1 C, -R A1^2 C, ...  Only ring operations occur, about n^4/4
+    products in E, each sum of them one _dot, so the coefficients stay
+    polynomials.  The 1 on T's diagonal is never multiplied: p_A1's
+    coefficient starts the sum instead, and p_A1's leading 1 stays p's."""
+    mul = ring.monomial_mul
+    n = len(A)
+    p = [_scalar([(ring.zero_monom, 1)], len(table))]  # the empty block, leading first
     for k in range(n - 1, -1, -1):
         R = A[k][k + 1:]
         col = [A[i][k] for i in range(k + 1, n)]  # A1^j C, from j = 0
-        t = [M.spec.one(), -A[k][k]]
+        t = [None, tuple([_negated(xs) for xs in A[k][k]])]
         for j in range(n - 1 - k):
             if j:
-                col = [_dot(A[i][k + 1:], col, M.spec) for i in range(k + 1, n)]
-            t.append(-_dot(R, col, M.spec))
-        # (T p)_i = sum_j t[i - j] p[j]
-        p = [_dot(t[i::-1], p, M.spec) for i in range(len(p) + 1)]
+                col = [_dot(A[i][k + 1:], col, table, mul) for i in range(k + 1, n)]
+            t.append(_dot(R, col, table, mul, neg=True))
+        # (T p)_i = p_i + sum over j < i of t[i - j] p_j
+        p = p[:1] + [_dot(t[i:0:-1], p[:i], table, mul, init=p[i] if i < len(p) else None)
+                     for i in range(1, len(p) + 1)]
     p.reverse()
     return p
 
 
-def _horner_tail(M: MatE, p: Sequence[EElement | RatFunc]) -> MatE:
-    """B = sum over k >= 1 of p_k M^(k-1), by Horner's rule, for a monic p
-    given constant first; then p(M) = B M + p_0 I.
+def _horner_tail(A, p, table, mul):
+    """B = sum over k >= 1 of p_k A^(k-1), by Horner's rule, for a cleared
+    matrix A and a monic p given constant first as elements; then
+    p(A) = B A + p_0 I.
 
-    Takes deg p - 2 matrix products (none below degree 3); scalars enter
-    on the diagonal only.
-    """
-    if len(p) == 2:
-        return MatE.identity(M.spec, M.n)
-    B = _add_scalar(M, p[-2])
-    for c in reversed(p[1:-2]):
-        B = _add_scalar(B * M, c)
+    Starts from the identity, whose empty coordinates the first product
+    skips; scalars enter on the diagonal only, as the start of its sums."""
+    n = len(A)
+    zero = ([],) * len(table)
+    B = [[p[-1] if i == j else zero for j in range(n)] for i in range(n)]
+    cols = list(zip(*A))
+    for c in reversed(p[1:-1]):
+        B = _mul_add_scalar(B, cols, c, table, mul)
     return B
 
 
-def _add_scalar(M: MatE, c: EElement | RatFunc) -> MatE:
-    """M + c I for a central c."""
-    if isinstance(c, RatFunc):
-        c = M.spec.scalar(c)
-    return MatE(M.spec, [
-        [x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(M.rows)
-    ])
+def _mul_add_scalar(B, cols, c, table, mul):
+    """B A + c I, for A given by its columns and a central c."""
+    return [[_dot(r, col, table, mul, init=c if i == j else None)
+             for j, col in enumerate(cols)] for i, r in enumerate(B)]
 
 
-def _clear_denominators(cs: Sequence[RatFunc]) -> tuple[RatFunc, list[RatFunc]]:
-    """(d, [d c for c in cs]) for non-empty cs, with d the lcm of the
-    denominators, so each d c is a polynomial, built as numerator times
-    d exquo denominator without a gcd."""
+def _negated(terms):
+    return [(e, -c) for e, c in terms]
+
+
+def _scalar(terms, dim: int):
+    """The central element with real part terms."""
+    return (terms,) + ([],) * (dim - 1)
+
+
+def _norm_coeffs(q, table, mul) -> list:
+    """Coefficients of q conj(q) = Re(q)^2 + Im(q)^2 for a polynomial q over
+    F(sqrt(-1)) given by its complex coefficients, constant first.  table
+    is F(sqrt(-1))'s; with the imaginary coordinates empty, only 1 * 1 = 1
+    is read."""
+    n = len(q)
+    re = [(c[0], []) for c in q]
+    im = [(c[1], []) for c in q]
+    out = []
+    for k in range(2 * n - 1):
+        idx = range(max(0, k - n + 1), min(k, n - 1) + 1)
+        u = [re[i] for i in idx] + [im[i] for i in idx]
+        v = [re[k - i] for i in idx] + [im[k - i] for i in idx]
+        out.append(_dot(u, v, table, mul)[0])
+    return out
+
+
+def _chi(A):
+    """chi on a cleared Hamilton matrix: [[M1, M2], [-conj(M2), conj(M1)]]."""
+    top = [[(q[0], q[1]) for q in r] + [(q[2], q[3]) for q in r] for r in A]
+    bot = [[(_negated(q[2]), q[3]) for q in r] + [(q[0], _negated(q[1])) for q in r]
+           for r in A]
+    return top + bot
+
+
+def _cleared_charpoly(spec: ESpec, A, ring) -> list:
+    """Term lists of the reduced characteristic polynomial of the cleared
+    matrix A, constant first (see reduced_charpoly)."""
+    if spec.kind is EKind.BASE:
+        return [c[0] for c in _charpoly_commutative(A, spec.products, ring)]
+    if spec.kind is EKind.COMPLEX:
+        q = _charpoly_commutative(A, spec.products, ring)
+        return _norm_coeffs(q, spec.products, ring.monomial_mul)
+    coeffs = _charpoly_commutative(_chi(A), complex_spec(spec.field).products, ring)
+    if any(c[1] for c in coeffs):
+        raise NonRealCoefficient("coefficient has a nonzero imaginary part")
+    return [c[0] for c in coeffs]
+
+
+def _check_kind(spec: ESpec) -> None:
+    if spec.kind is EKind.QUAT and not spec.hamilton:
+        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
+
+
+def _cleared(M: MatE):
+    """(d, rows of the term-list elements of d M), d as in _clear_denominators."""
+    d, flat = _clear_denominators([c for r in M.rows for q in r for c in q.coords])
+    elems = list(zip(*[iter(flat)] * M.spec.dim))
+    m = M.m
+    return d, [elems[i:i + m] for i in range(0, len(elems), m)]
+
+
+def _clear_denominators(cs: Sequence[RatFunc]) -> tuple[RatFunc, list]:
+    """(d, [term list of d c for c in cs]) for non-empty cs, with d the lcm
+    of the denominators, F.one itself when no c has one.  When
+    every denominator is a monomial, d and each d c are closed forms on the
+    monomial triples; otherwise each d c is the numerator times d exquo its
+    denominator, without a gcd."""
     F = cs[0].field
-    ring, frac = F._ring, F._field
-    quotients = dict.fromkeys(c._f.denom for c in cs)
-    d = ring.one
+    ring = F._ring
+    mul = ring.monomial_mul
+    triples = [c._m for c in cs if c._m is not None]
+    others = [c._frac.denom for c in cs if c._m is None and not _is_one(c._frac.denom)]
+    k = math.lcm(*[m[2] for m in triples])
+    # minus the lowest power of each variable in the triples and 0
+    shift = tuple([-min(col) for col in zip((0,) * F.r, *[m[0] for m in triples])])
+    if not others:
+        cleared = []
+        for c in cs:
+            m = c._m
+            if m is not None:
+                cleared.append([(mul(m[0], shift), m[1] * (k // m[2]))])
+            else:
+                cleared.append([(mul(e, shift), a * k) for e, a in c._frac.numer.items()])
+        if k == 1 and not any(shift):
+            return F.one, cleared
+        return _monomial(F, (shift, k, 1)), cleared
+    d = ring({shift: k})
+    quotients = dict.fromkeys(others)
     for den in quotients:
         d = d.lcm(den)
     for den in quotients:
         quotients[den] = d.exquo(den)
-    cleared = [
-        RatFunc(F, frac.raw_new(c._f.numer * quotients[c._f.denom], ring.one))
-        for c in cs
-    ]
-    return RatFunc(F, frac.raw_new(d, ring.one)), cleared
+    cleared = []
+    for c in cs:
+        if c.is_zero:
+            cleared.append([])
+            continue
+        f = c._f
+        q = quotients.get(f.denom)
+        if q is None:
+            q = quotients[f.denom] = d.exquo(f.denom)
+        cleared.append(list((f.numer * q).items()))
+    return RatFunc(F, F._field.raw_new(d, ring.one)), cleared
 
 
-def _dot(u: Sequence[EElement], v: Sequence[EElement], spec: ESpec) -> EElement:
-    acc = spec.zero()
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
-
-
-def _as_scalar(q: EElement) -> RatFunc:
-    for c in q.coords[1:]:
-        if not c.is_zero:
-            raise NonRealCoefficient("coefficient has a nonzero imaginary part")
-    return q.coords[0]
+def _ratfunc(F, terms) -> RatFunc:
+    """The polynomial with the given term list, as a field element."""
+    if not terms:
+        return F.zero
+    if len(terms) == 1:
+        (e, c), = terms
+        return _monomial(F, (e, c, 1))
+    return RatFunc(F, F._field.raw_new(F._ring.dtype(terms), F._ring.one))
 
 
 def reduced_charpoly(M: MatE) -> PolyX:
@@ -309,20 +437,26 @@ def reduced_charpoly(M: MatE) -> PolyX:
     complex embedding).  Over F(sqrt(-1)) that product is Re(q)^2 + Im(q)^2,
     real by construction; over the quaternions NonRealCoefficient is raised
     if a coefficient is not exactly real.
+
+    Computed for d M, with d the lcm of M's denominators, on polynomials
+    only; its coefficient of X^k is d^(deg-k) p_k, so the rescale at the end
+    is one product per coefficient, and none when d = 1.
     """
     if not M.is_square:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    F = M.spec.field
-    if M.spec.kind is EKind.BASE:
-        coeffs = _charpoly_commutative(M)
-        return PolyX(F, [c.coords[0] for c in coeffs])
-    if M.spec.kind is EKind.COMPLEX:
-        # q qbar = Re(q)^2 + Im(q)^2 for q = det(X - M)
-        q = _charpoly_commutative(M)
-        a, b = (PolyX(F, [c.coords[k] for c in q]) for k in (0, 1))
-        return a * a + b * b
-    coeffs = _charpoly_commutative(chi(M))
-    return PolyX(F, [_as_scalar(c) for c in coeffs])
+    spec = M.spec
+    _check_kind(spec)
+    F = spec.field
+    d, A = _cleared(M)
+    coeffs = [_ratfunc(F, c) for c in _cleared_charpoly(spec, A, F._ring)]
+    if d is not F.one:
+        inv = d._reciprocal()
+        s = inv
+        for k in range(len(coeffs) - 2, -1, -1):
+            coeffs[k] = coeffs[k] * s
+            if k:
+                s = s * inv
+    return PolyX(F, coeffs)
 
 
 def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
@@ -344,9 +478,20 @@ def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
 
 
 def cayley_hamilton_check(M: MatE) -> bool:
-    """Whether the reduced characteristic polynomial annihilates M."""
-    p = reduced_charpoly(M).coeffs
-    return _add_scalar(_horner_tail(M, p) * M, p[0]).is_zero
+    """Whether the reduced characteristic polynomial annihilates M.
+
+    Checked as p'(d M) = 0 on the cleared matrix d M, with p' its own
+    reduced charpoly, which holds iff p(M) = 0 (p'(X) = d^deg p(X / d))."""
+    if not M.is_square:
+        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
+    spec = M.spec
+    _check_kind(spec)
+    ring = spec.field._ring
+    _, A = _cleared(M)
+    p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A, ring)]
+    B = _horner_tail(A, p, spec.products, ring.monomial_mul)
+    pA = _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, ring.monomial_mul)
+    return not any(any(x) for r in pA for x in r)
 
 
 def psd_at(M: MatE, P: OrderingSpec) -> bool:
@@ -419,13 +564,8 @@ def _rational_roots(p: PolyX) -> tuple[list[RatFunc], bool]:
     fring = F._ring
 
     _, cleared = _clear_denominators(p.coeffs)
-    total = R.zero
-    for i, c in enumerate(cleared):
-        if c.is_zero:
-            continue
-        total += R.from_terms(
-            [((i,) + exps, coeff) for exps, coeff in c._f.numer.terms()]
-        )
+    total = R.from_terms([((i,) + exps, c) for i, terms in enumerate(cleared)
+                          for exps, c in terms])
     _, factors = total.factor_list()
     roots: list[RatFunc] = []
     splits = True

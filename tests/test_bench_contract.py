@@ -41,3 +41,21 @@ def test_workload_names(perfbench):
 def test_workload_builds(perfbench, name):
     _, workloads = perfbench
     assert workloads.WORKLOADS[name](1)
+
+
+# each workload at a tiny size: every operation's output must pass the
+# benchmark's own check, so a kernel that breaks one fails here too
+TINY = {
+    "compat_cones": {"samples": 2},
+    "quat_charpoly": {"ch_counts": {1: 1, 2: 1, 3: 1}, "mn_counts": {2: 1}},
+    "rational_inverse": {"shapes": (("complex", 1, 1, 3), ("hamilton", 1, 1, 4)),
+                         "in_st_per_context": 1},
+    "lift_cli": {"configs": ((3, 2), (3, 3))},
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_checks_pass_at_a_tiny_size(perfbench, name):
+    _, workloads = perfbench
+    for op in workloads.WORKLOADS[name](1, **TINY[name]):
+        op.check(op.run())

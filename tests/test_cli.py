@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gaugecones import cli
-from gaugecones.field import MAX_EXPONENT, RatFunc
+from gaugecones.field import MAX_EXPONENT, MAX_POWER_TERMS, RatFunc
 from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
@@ -157,6 +157,21 @@ class TestExponentBound:
         assert powers == []
 
 
+    def test_power_with_too_many_terms_exits_2_without_computing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        powers = []
+        monkeypatch.setattr(RatFunc, "__pow__", lambda self, n: powers.append(n))
+        wide = [f"x{i}" for i in range(10)]
+        doc = dict(BASE_DOC, vars=wide,
+                   algebra={"variant": "matrix", "kind": "base",
+                            "form": ["1", f"({'+'.join(wide)})^100"]})
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: algebra: power would have more than {MAX_POWER_TERMS}" in err
+        assert "Traceback" not in err
+        assert powers == []
+
+
 class TestWideField:
     """lift, nil and wadth solve for the orderings instead of enumerating
     them, so a config naming one ordering runs at any number of variables."""
@@ -292,6 +307,23 @@ class TestMain:
         assert seen == []
         assert main(["run", path, "--samples", "1"]) == 0
         assert [c["samples"] for c in seen] == [1]
+
+    def test_samples_above_the_bound_exit_2(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or {"analyses": {}})
+        monkeypatch.setattr(cli, "SCENARIOS", {"bk2_example": lambda: seen.append("scenario")})
+        path = write_config(tmp_path, BASE_DOC)
+        above = str(cli.MAX_SAMPLE_COUNT + 1)
+        assert main(["run", path, "--samples", above]) == 2
+        assert main(["run", "--scenario", "bk2_example", "--samples", above]) == 2
+        assert "configuration error: --samples: --samples must be at most" in capsys.readouterr().err
+        doc = dict(BASE_DOC, sampleCount=cli.MAX_SAMPLE_COUNT + 1)
+        assert main(["run", write_config(tmp_path, doc, "above.json")]) == 2
+        assert "configuration error: sampleCount: sampleCount must be at most" in capsys.readouterr().err
+        assert seen == []
+        # at the bound the run starts (here, the stand-in for it)
+        assert main(["run", path, "--samples", str(cli.MAX_SAMPLE_COUNT)]) == 0
+        assert [c["samples"] for c in seen] == [cli.MAX_SAMPLE_COUNT]
 
     def test_missing_argument(self, capsys):
         assert main(["run"]) == 2

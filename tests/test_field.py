@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecones.field import (
     INF,
     MAX_EXPONENT,
+    MAX_POWER_TERMS,
     ExprSyntaxError,
     FieldError,
     FunctionField,
@@ -150,6 +151,14 @@ class TestPower:
             p, q = f ** -n, F2.one / f ** n
             assert p == q and hash(p) == hash(q) and str(p) == str(q)
         assert str((-x) ** -1) == "-1/x"
+        with pytest.raises(ZeroDivisionError):
+            F2.zero ** -1
+
+    def test_zero_to_the_zero_is_one(self, F2):
+        # as Fraction(0) ** 0; sympy's fraction would raise ValueError
+        assert F2.zero ** 0 == F2.one
+        assert F2.parse("(x-x)^0") == F2.one
+        assert F2.parse("(x-x)^0") == Fraction(0) ** 0
         with pytest.raises(ZeroDivisionError):
             F2.zero ** -1
 
@@ -381,6 +390,17 @@ class TestParser:
                               ("2^" + "9" * 5000, 2)):
             with pytest.raises(ExprSyntaxError, match="exponent exceeds") as e:
                 F2.parse(src)
+            assert e.value.position == position
+
+    def test_power_term_bound(self):
+        F = FunctionField(["x", "y", "z"])
+        # (1+x+y)^60 has C(62, 2) = 1,891 terms, within the bound
+        assert len(F.parse("(1+x+y)^60")._f.numer) == 1891
+        assert F.parse("1/(x+y)^100") == 1 / (F.parse("x+y") ** 100)
+        for src, position in (("(1+x+y+z)^100", 10), ("x/(1+x+y+z)^100", 12),
+                              ("((1+x+y)^60)^2", 13)):
+            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_POWER_TERMS} terms") as e:
+                F.parse(src)
             assert e.value.position == position
 
     def test_parse_element_helper(self):

@@ -158,6 +158,86 @@ def cleared(M):
     return RatFunc(F, F._field.new(q, F._ring.one)), qM
 
 
+def berkowitz(M):
+    """Reference charpoly over a commutative E on EElement arithmetic:
+    coefficients of det(X - M), constant first, by Berkowitz's recursion
+    with every sum and product a field operation."""
+    A = M.rows
+    n = M.n
+    p = [M.spec.one()]
+    for k in range(n - 1, -1, -1):
+        R = A[k][k + 1:]
+        col = [A[i][k] for i in range(k + 1, n)]
+        t = [M.spec.one(), -A[k][k]]
+        for j in range(n - 1 - k):
+            if j:
+                col = [element_dot(A[i][k + 1:], col, M.spec) for i in range(k + 1, n)]
+            t.append(-element_dot(R, col, M.spec))
+        p = [element_dot(t[i::-1], p, M.spec) for i in range(len(p) + 1)]
+    p.reverse()
+    return p
+
+
+def element_dot(u, v, spec):
+    acc = spec.zero()
+    for a, b in zip(u, v):
+        acc = acc + a * b
+    return acc
+
+
+def horner_tail(M, p):
+    """Reference B = sum over k >= 1 of p_k M^(k-1) on EElement arithmetic,
+    for a monic p given constant first, so that p(M) = B M + p_0 I."""
+    if len(p) == 2:
+        return MatE.identity(M.spec, M.n)
+    B = add_scalar(M, p[-2])
+    for c in reversed(p[1:-2]):
+        B = add_scalar(B * M, c)
+    return B
+
+
+def add_scalar(M, c):
+    if isinstance(c, RatFunc):
+        c = M.spec.scalar(c)
+    return M + MatE.diagonal(M.spec, [c] * M.n)
+
+
+def oracle_reduced_charpoly(M):
+    """Reduced charpoly by berkowitz on M itself, denominators uncleared."""
+    F = M.spec.field
+    if M.spec.kind is EKind.BASE:
+        return PolyX(F, [c.coords[0] for c in berkowitz(M)])
+    if M.spec.kind is EKind.COMPLEX:
+        q = berkowitz(M)
+        a, b = (PolyX(F, [c.coords[k] for c in q]) for k in (0, 1))
+        return a * a + b * b
+    coeffs = berkowitz(chi(M))
+    assert all(c.is_central() for c in coeffs)
+    return PolyX(F, [c.coords[0] for c in coeffs])
+
+
+def oracle_cayley_hamilton(M):
+    p = oracle_reduced_charpoly(M).coeffs
+    return add_scalar(horner_tail(M, p) * M, p[0]).is_zero
+
+
+def oracle_inverse(M):
+    """-d B / p_0 by berkowitz and horner_tail on the cleared d M."""
+    d, dM = cleared(M)
+    if M.spec.kind is EKind.COMPLEX:
+        p = berkowitz(dM)
+        divisor = p[0].norm()
+    else:
+        p = oracle_reduced_charpoly(dM).coeffs
+        divisor = p[0]
+    if divisor.is_zero:
+        raise Singular("matrix is not invertible")
+    B = horner_tail(dM, p)
+    if M.spec.kind is EKind.COMPLEX:
+        B = MatE(M.spec, [[x * p[0].conj() for x in r] for r in B.rows])
+    return B.scale(-d / divisor)
+
+
 ORACLE_F = FunctionField(["x", "y"])
 ORACLE_SPECS = (base_spec(ORACLE_F), complex_spec(ORACLE_F), hamilton_spec(ORACLE_F))
 
@@ -201,6 +281,53 @@ def oracle_matrices(draw):
 
     return MatE(spec, [[EElement(spec, tuple(coord(i == j and t == 0) for t in range(spec.dim)))
                         for j in range(n)] for i in range(n)])
+
+
+F0 = FunctionField([])
+
+# coordinates by entry kind: integral polynomials (d = 1), Laurent monomials
+# with fractional coefficients, and quotients with a non-monomial
+# denominator; over Q (r = 0) the last two are fractions
+KERNEL_COORDS = {
+    ORACLE_F: {
+        "integral": ["1", "-2", "3*x", "x*y - 1", "y^2 + 2*x", "-x"],
+        "laurent": ["1/2", "-3/x", "2*x*y/3", "y/(2*x)", "-x^2/5", "x"],
+        "fraction": ["1/(1+x)", "(x - y)/(2 + y)", "x/(x*y - 3)", "3/2", "y"],
+    },
+    F0: {
+        "integral": ["1", "-2", "3", "5"],
+        "laurent": ["1/2", "-3/4", "5/3", "2"],
+        "fraction": ["1/2", "-3/4", "5/3", "2"],
+    },
+}
+
+
+@st.composite
+def kernel_matrices(draw):
+    """n <= 3 over F, F(sqrt(-1)) or (-1,-1)_F, over Q(x, y) or Q, with
+    integral, Laurent-monomial or fractional coordinates, about two
+    non-zero coordinates a row besides the real part of the diagonal; or
+    the identity; sometimes with a zero row."""
+    F = draw(st.sampled_from([ORACLE_F, F0]))
+    spec = draw(st.sampled_from([base_spec(F), complex_spec(F), hamilton_spec(F)]))
+    n = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["random", "zero row", "identity"]))
+    if shape == "identity":
+        return MatE.identity(spec, n)
+    table = [F.parse(c) for c in KERNEL_COORDS[F][draw(st.sampled_from(
+        ["integral", "laurent", "fraction"]))]]
+    sparsity = max(2, n * spec.dim // 2)
+
+    def coord(diagonal_real):
+        if not diagonal_real and draw(st.integers(1, sparsity)) > 1:
+            return F.zero
+        return draw(st.sampled_from(table))
+
+    rows = [[EElement(spec, tuple(coord(i == j and t == 0) for t in range(spec.dim)))
+             for j in range(n)] for i in range(n)]
+    if shape == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [spec.zero()] * n
+    return MatE(spec, rows)
 
 
 class TestMatE:
@@ -338,6 +465,21 @@ class TestReducedCharpoly:
         for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2)):
             for n in (1, 2, 3):
                 assert cayley_hamilton_check(random_mat(spec, n, rng))
+
+    @settings(max_examples=120, deadline=None)
+    @given(M=kernel_matrices())
+    def test_kernels_match_eelement_oracle(self, M):
+        """reduced_charpoly, cayley_hamilton_check and MatE.inverse on the
+        cleared polynomials against Berkowitz and Horner on EElements."""
+        assert reduced_charpoly(M) == oracle_reduced_charpoly(M)
+        assert cayley_hamilton_check(M) is oracle_cayley_hamilton(M) is True
+        try:
+            expected = oracle_inverse(M)
+        except Singular:
+            with pytest.raises(Singular):
+                M.inverse()
+            return
+        assert M.inverse() == expected
 
     def test_agrees_with_faddeev_leverrier(self, F2):
         rng = random.Random(40)
