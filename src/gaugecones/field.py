@@ -797,12 +797,14 @@ def newton_root_valuations(p: PolyX) -> list[GammaVal]:
 # would start a computation that does not end
 MAX_EXPONENT = 100
 
-# The most terms the parser lets a power's numerator or denominator have,
-# counted before computing it: f with t terms has at most C(N+t-1, t-1) terms
-# in f^N.  (1+x+y)^60 has 1,891 terms and parses in milliseconds;
-# (1+x+y+z)^100 has 176,851 and takes a second, and a sum of ten variables
-# to the 100th would have about 4.7e13
-MAX_POWER_TERMS = 10_000
+# The most terms the parser lets the numerator or denominator of a power,
+# product, quotient or sum have, counted before computing it: f with t terms
+# has at most C(N+t-1, t-1) terms in f^N, and a product of polynomials with
+# s and t terms at most s t.  (1+x+y)^60 has 1,891 terms and parses in
+# milliseconds; (1+x+y+z)^100 has 176,851 and takes a second, and a sum of
+# ten variables to the 100th would have about 4.7e13, as would 25 factors of
+# that sum to the 4th (715 terms each)
+MAX_TERMS = 10_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
@@ -812,11 +814,13 @@ class _Parser:
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base (('^'|'**') posint)?      posint <= MAX_EXPONENT, and the
-                                             power within MAX_POWER_TERMS
+    factor := base (('^'|'**') posint)?      posint <= MAX_EXPONENT
     base   := int | var | '(' expr ')'
 
     '**' is read as '^', so the str() of an element parses back to it.
+    Each power, product, quotient and sum is counted before it is computed
+    and refused at its operator (at the exponent for a power) when its
+    numerator or denominator could have more than MAX_TERMS terms.
     """
 
     def __init__(self, field: FunctionField, src: str):
@@ -867,10 +871,16 @@ class _Parser:
         if negate:
             v = -v
         while True:
-            kind, text, _ = self._peek()
+            kind, text, pos = self._peek()
             if kind == "op" and text in "+-":
                 self._next()
                 t = self._term()
+                (vn, vd), (tn, td) = _terms(v), _terms(t)
+                if v._m is None and t._m is None and v._frac.denom == t._frac.denom:
+                    # over one denominator sympy adds only the numerators
+                    _bound(vn + tn, "sum", pos)
+                else:
+                    _bound(max(vn * td + vd * tn, vd * td), "sum", pos)
                 v = v + t if text == "+" else v - t
             else:
                 return v
@@ -882,11 +892,14 @@ class _Parser:
             if kind == "op" and text in "*/":
                 self._next()
                 f = self._factor()
+                (vn, vd), (fn, fd) = _terms(v), _terms(f)
                 if text == "/":
                     if f.is_zero:
                         raise ExprSyntaxError("division by zero", pos)
+                    _bound(max(vn * fd, vd * fn), "quotient", pos)
                     v = v / f
                 else:
+                    _bound(max(vn * fn, vd * fd), "product", pos)
                     v = v * f
             else:
                 return v
@@ -903,9 +916,8 @@ class _Parser:
             if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", pos)
             n = int(text)
-            t = 1 if v._m is not None else max(len(v._frac.numer), len(v._frac.denom))
-            if math.comb(n + t - 1, t - 1) > MAX_POWER_TERMS:
-                raise ExprSyntaxError(f"power would have more than {MAX_POWER_TERMS} terms", pos)
+            t = max(_terms(v))
+            _bound(math.comb(n + t - 1, t - 1), "power", pos)
             v = v ** n
         return v
 
@@ -926,6 +938,18 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", pos)
             return v
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+
+
+def _terms(v: RatFunc) -> tuple[int, int]:
+    """Term counts of v's numerator and denominator as sympy holds them."""
+    if v._m is not None:
+        return 1, 1
+    return len(v._frac.numer), len(v._frac.denom)
+
+
+def _bound(terms: int, what: str, pos: int) -> None:
+    if terms > MAX_TERMS:
+        raise ExprSyntaxError(f"{what} would have more than {MAX_TERMS} terms", pos)
 
 
 def parse_element(src: str, varnames: Sequence[str]) -> RatFunc:

@@ -380,7 +380,9 @@ def _clear_denominators(cs: Sequence[RatFunc]) -> tuple[RatFunc, list]:
     of the denominators, F.one itself when no c has one.  When
     every denominator is a monomial, d and each d c are closed forms on the
     monomial triples; otherwise each d c is the numerator times d exquo its
-    denominator, without a gcd."""
+    denominator, without a gcd.  The closed form spares the small residue
+    blocks a sympy fraction per coordinate: without it a 1 x 1 block over Q
+    took about three times as long."""
     F = cs[0].field
     ring = F._ring
     mul = ring.monomial_mul

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gaugecones import cli
-from gaugecones.field import MAX_EXPONENT, MAX_POWER_TERMS, RatFunc
+from gaugecones.field import MAX_EXPONENT, MAX_TERMS, RatFunc
 from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
@@ -98,6 +98,8 @@ class TestMalformedConfig:
             ({"sampleCount": 2.5}, "sampleCount", "must be an integer"),
             ({"sampleCount": -4}, "sampleCount", "at least 1"),
             ({"sampleCount": 0}, "sampleCount", "at least 1"),
+            ({"sampleCount": cli.MAX_SAMPLE_COUNT + 1}, "sampleCount",
+             f"at most {cli.MAX_SAMPLE_COUNT}"),
             ({"analyses": "gauge"}, "analyses", "must be a list"),
             ({"ordering": [None, 1]}, "ordering", "each -1 or 1"),
             ({"ordering": [1.5, 1]}, "ordering", "each -1 or 1"),
@@ -108,7 +110,7 @@ class TestMalformedConfig:
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
-             "sampleCount-zero", "analyses-string",
+             "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
              "kind-list"],
     )
@@ -156,7 +158,6 @@ class TestExponentBound:
         assert "Traceback" not in err
         assert powers == []
 
-
     def test_power_with_too_many_terms_exits_2_without_computing(self, tmp_path, capsys,
                                                                  monkeypatch):
         powers = []
@@ -167,7 +168,7 @@ class TestExponentBound:
                             "form": ["1", f"({'+'.join(wide)})^100"]})
         assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert f"configuration error: algebra: power would have more than {MAX_POWER_TERMS}" in err
+        assert f"configuration error: algebra: power would have more than {MAX_TERMS}" in err
         assert "Traceback" not in err
         assert powers == []
 
@@ -296,7 +297,7 @@ class TestMain:
         assert main(["run", path]) == 0
         assert [(c["seed"], c["samples"]) for c in seen] == [(0, 50), (7, 10)]
 
-    @pytest.mark.parametrize("samples", ["-4", "0"])
+    @pytest.mark.parametrize("samples", ["-4", "0", str(cli.MAX_SAMPLE_COUNT + 1)])
     def test_samples_below_one_exit_2(self, tmp_path, monkeypatch, capsys, samples):
         seen = []
         monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or {"analyses": {}})
@@ -308,22 +309,13 @@ class TestMain:
         assert main(["run", path, "--samples", "1"]) == 0
         assert [c["samples"] for c in seen] == [1]
 
-    def test_samples_above_the_bound_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_samples_at_the_bound_run(self, tmp_path, monkeypatch):
         seen = []
         monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or {"analyses": {}})
-        monkeypatch.setattr(cli, "SCENARIOS", {"bk2_example": lambda: seen.append("scenario")})
-        path = write_config(tmp_path, BASE_DOC)
-        above = str(cli.MAX_SAMPLE_COUNT + 1)
-        assert main(["run", path, "--samples", above]) == 2
-        assert main(["run", "--scenario", "bk2_example", "--samples", above]) == 2
-        assert "configuration error: --samples: --samples must be at most" in capsys.readouterr().err
-        doc = dict(BASE_DOC, sampleCount=cli.MAX_SAMPLE_COUNT + 1)
-        assert main(["run", write_config(tmp_path, doc, "above.json")]) == 2
-        assert "configuration error: sampleCount: sampleCount must be at most" in capsys.readouterr().err
-        assert seen == []
-        # at the bound the run starts (here, the stand-in for it)
+        path = write_config(tmp_path, dict(BASE_DOC, sampleCount=cli.MAX_SAMPLE_COUNT))
+        assert main(["run", path]) == 0
         assert main(["run", path, "--samples", str(cli.MAX_SAMPLE_COUNT)]) == 0
-        assert [c["samples"] for c in seen] == [cli.MAX_SAMPLE_COUNT]
+        assert [c["samples"] for c in seen] == [cli.MAX_SAMPLE_COUNT] * 2
 
     def test_missing_argument(self, capsys):
         assert main(["run"]) == 2

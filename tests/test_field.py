@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecones.field import (
     INF,
     MAX_EXPONENT,
-    MAX_POWER_TERMS,
+    MAX_TERMS,
     ExprSyntaxError,
     FieldError,
     FunctionField,
@@ -399,7 +399,22 @@ class TestParser:
         assert F.parse("1/(x+y)^100") == 1 / (F.parse("x+y") ** 100)
         for src, position in (("(1+x+y+z)^100", 10), ("x/(1+x+y+z)^100", 12),
                               ("((1+x+y)^60)^2", 13)):
-            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_POWER_TERMS} terms") as e:
+            with pytest.raises(ExprSyntaxError, match=f"more than {MAX_TERMS} terms") as e:
+                F.parse(src)
+            assert e.value.position == position
+
+    def test_product_quotient_and_sum_term_bound(self):
+        xs = [f"x{i}" for i in range(10)]
+        F = FunctionField(xs)
+        # a sum of ten variables to the 4th has C(13, 9) = 715 terms, so 25
+        # such factors would reach the same size as that sum to the 100th
+        s4 = f"({'+'.join(xs)})^4"
+        assert len(F.parse(f"{s4}*(x0+1)")._f.numer) == 2 * 715
+        assert F.parse(f"x0/{s4} + x1/{s4}") == F.parse(f"(x0+x1)/{s4}")
+        for src, what, position in (("*".join([s4] * 25), "product", len(s4)),
+                                    (f"1/{s4}/{s4}", "quotient", len(s4) + 2),
+                                    (f"1/{s4} + 1/({s4}+1)", "sum", len(s4) + 3)):
+            with pytest.raises(ExprSyntaxError, match=f"{what} would have more than") as e:
                 F.parse(src)
             assert e.value.position == position
 
