@@ -499,30 +499,29 @@ def cayley_hamilton_check(M: MatE) -> bool:
 def psd_at(M: MatE, P: OrderingSpec) -> bool:
     """Exact positive-semidefiniteness of a hermitian matrix at an ordering.
 
-    All eigenvalues of a hermitian matrix are real over the real closure, and
-    they are all nonnegative iff (-1)^k times the coefficient of X^(d-k) in
-    the reduced characteristic polynomial is nonnegative at P for every k.
+    Decided by central pivots, Sylvester's law in Schur-complement form (F.
+    Zhang, Linear Algebra Appl. 251, 1997).  In M = [[m, r], [r*, M']] the
+    pivot m is its own conjugate, so it lies in F and is central.  If m < 0
+    at P, M is not PSD; if m = 0, M is PSD iff r = 0 and M' is PSD; if m > 0,
+    iff m M' - r* r is PSD: the Schur complement scaled by m, hermitian and
+    division-free.  E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of
+    HermContext; other quaternion algebras raise WrongKind.
     """
     if not M.is_hermitian():
         raise NotHermitian("matrix is not bar-transpose symmetric")
-    if M.n == 1:
-        x = M.rows[0][0].real_part()
-        return x.is_zero or x.sign_at(P) > 0
-    if M.n == 2:
-        # eigenvalues are the roots of X^2 - tr X + det, real and with
-        # tr and det scalar by hermitian symmetry; nonnegative roots of a
-        # real-rooted quadratic mean tr >= 0 and det >= 0
-        tr = (M.rows[0][0] + M.rows[1][1]).real_part()
-        det = (M.rows[0][0] * M.rows[1][1] - M.rows[0][1] * M.rows[1][0]).real_part()
-        return (tr.is_zero or tr.sign_at(P) > 0) and (det.is_zero or det.sign_at(P) > 0)
-    p = reduced_charpoly(M)
-    d = p.degree
-    sign = 1
-    for k in range(d + 1):
-        c = p.coeffs[d - k]
-        if not c.is_zero and c.sign_at(P) != sign:
+    _check_kind(M.spec)
+    rows = M.rows
+    while rows:
+        m = rows[0][0].real_part()
+        r, rest = rows[0][1:], rows[1:]
+        if m.is_zero:
+            if not all(x.is_zero for x in r):
+                return False
+            rows = [row[1:] for row in rest]
+        elif m.sign_at(P) < 0:
             return False
-        sign = -sign
+        else:
+            rows = [[x.scale(m) - row[0] * y for x, y in zip(row[1:], r)] for row in rest]
     return True
 
 

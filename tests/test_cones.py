@@ -137,7 +137,8 @@ class TestAxioms:
 
     def test_compatibility_suite(self, F2):
         x, y = F2.vars()
-        for kind, form in (("base", [F2.one, x]), ("hamilton", [F2.one, F2.one])):
+        for kind, form in (("base", [F2.one, x]), ("hamilton", [F2.one, F2.one]),
+                           ("hamilton", [F2.one, x, y * y])):
             C = make_cone(F2, form, kind=kind)
             report = compatibility_suite(C, sample_count=25, seed=2)
             assert report.ok, {

@@ -330,6 +330,53 @@ def kernel_matrices(draw):
     return MatE(spec, rows)
 
 
+def charpoly_psd(M, P):
+    """Reference PSD test by the charpoly sign rule: the eigenvalues of a
+    hermitian matrix are real over the real closure, so by Descartes' rule
+    they are all nonnegative iff (-1)^k times the coefficient of X^(d-k) in
+    the reduced characteristic polynomial is nonnegative at P for every k."""
+    coeffs = reduced_charpoly(M).coeffs  # trimmed, so the last is X^d's
+    return all(c.is_zero or c.sign_at(P) == (-1) ** k
+               for k, c in enumerate(reversed(coeffs)))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """n <= 4 over F, F(sqrt(-1)) or (-1,-1)_F: A + A*, or the sandwich A* A,
+    singular when A is; as drawn, with a zeroed diagonal entry or a zeroed
+    row and column; then negated, or shifted by a monomial c as A - c 1.
+    A has polynomial monomial coordinates, about two non-zero ones a row."""
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    F = spec.field
+    n = draw(st.integers(1, 4))
+    sparsity = max(2, n * spec.dim // 2)
+
+    def coord():
+        if draw(st.integers(1, sparsity)) > 1:
+            return F.zero
+        return draw(st.sampled_from(ORACLE_MONOMIALS[0]))
+
+    A = MatE(spec, [[EElement(spec, tuple(coord() for _ in range(spec.dim)))
+                     for _ in range(n)] for _ in range(n)])
+    M = A + A.bar_transpose() if draw(st.booleans()) else A.bar_transpose() * A
+    rows = [list(r) for r in M.rows]
+    k = draw(st.integers(0, n - 1))
+    zeroed = draw(st.sampled_from(["none", "pivot", "row"]))
+    if zeroed != "none":
+        rows[k][k] = spec.zero()
+    if zeroed == "row":
+        for i in range(n):
+            rows[i][k] = rows[k][i] = spec.zero()
+    M = MatE(spec, rows)
+    twist = draw(st.sampled_from(["a", "-a", "a - c"]))
+    if twist == "-a":
+        return -M
+    if twist == "a - c":
+        c = draw(st.sampled_from(ORACLE_MONOMIALS[0]))
+        return M - MatE.diagonal(spec, [c] * n)
+    return M
+
+
 class TestMatE:
     def test_ring_ops(self, F2):
         rng = random.Random(31)
@@ -425,6 +472,8 @@ class TestChi:
         for f in (chi, reduced_charpoly, cayley_hamilton_check, MatE.inverse):
             with pytest.raises(WrongKind):
                 f(M)
+        with pytest.raises(WrongKind):
+            psd_at(MatE.identity(spec, 1), OrderingSpec((1, 1)))
 
 
 class TestReducedCharpoly:
@@ -544,6 +593,12 @@ class TestPsdAt:
         one, i, j, k = H.basis()
         with pytest.raises(NotHermitian):
             psd_at(MatE(H, [[i]]), OrderingSpec((1, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(M=hermitian_matrices())
+    def test_matches_charpoly_sign_rule(self, M):
+        for P in enumerate_orderings(2):
+            assert psd_at(M, P) is charpoly_psd(M, P)
 
     def test_vector_sampling_consistency(self, F2):
         rng = random.Random(38)
