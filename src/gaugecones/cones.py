@@ -40,7 +40,7 @@ from .algebra import (
     QuatDivSpec,
     trace_form,
 )
-from .matrices import MatE, psd_at, reduced_charpoly
+from .matrices import MatE, NotHermitian, psd_at, reduced_charpoly
 from .gauges import (
     GaugeContext,
     NotInRing,
@@ -66,10 +66,13 @@ ConeSpec = GaugeContext
 
 def cone_member(a: MatE, G: GaugeContext) -> bool:
     """Membership in the positive cone: ad_h-symmetric with a positive
-    semidefinite Gram twist at the ordering."""
-    if not G.is_symmetric(a):
+    semidefinite Gram twist at the ordering.  The twist is hermitian exactly
+    when a is ad_h-symmetric (e_i a_ij = conj(a_ji) e_j), so psd_at's
+    hermitian test is the symmetry test."""
+    try:
+        return psd_at(G.gram_twist(a), G.P)
+    except NotHermitian:
         return False
-    return psd_at(G.gram_twist(a), G.P)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,16 @@ Valuation, leading term, sign at an ordering and residue read the triple
 or, for a fraction, one walk for the lex-minimal terms of numerator and
 denominator.  The sign is the Baer-Krull formula
 sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i).
+
+The matrix kernels compute on polynomials of Z[x_1,...,x_r] held as term
+lists: [(exponents, integer), ...] with no zero coefficient, in any order,
+as sympy's PolyElement.items() gives them, and the empty list for zero.
+FunctionField.add_exponents adds two exponent tuples, and (0,) * r is the
+exponent of 1.  Two conversions are the only way between field elements
+and term lists, so the kernels never see how an element is stored:
+FunctionField.clear_denominators(cs) gives (d, the term lists of d c for c
+in cs) with d the lcm of the denominators, and FunctionField.polynomial
+gives the element with a term list.  rational_roots factors on them too.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from sympy import ZZ
 from sympy.polys.fields import field as _sympy_field
+from sympy.polys.rings import ring as _sympy_ring
 
 
 class FieldError(Exception):
@@ -346,6 +357,7 @@ class FunctionField:
         built = _sympy_field(names, ZZ)
         self._field = built[0]
         self._ring = self._field.ring
+        self.add_exponents = self._ring.monomial_mul
         self.zero = RatFunc(self, self._field.zero)
         self.one = RatFunc(self, self._field.one)
 
@@ -374,6 +386,59 @@ class FunctionField:
             term({tuple([e if e > 0 else 0 for e in exps]): zz(num)}),
             term({tuple([-e if e < 0 else 0 for e in exps]): zz(den)}),
         )
+
+    def clear_denominators(self, cs: Sequence["RatFunc"]) -> tuple["RatFunc", list]:
+        """(d, [term list of d c for c in cs]), with d the lcm of the
+        denominators, self.one itself when no c has one.  When every
+        denominator is a monomial, d and each d c are closed forms on the
+        monomial triples; otherwise each d c is the numerator times d exquo
+        its denominator, without a gcd.  The closed form spares the small
+        residue blocks a sympy fraction per coordinate: without it a 1 x 1
+        block over Q took about three times as long."""
+        ring = self._ring
+        mul = self.add_exponents
+        triples = [c._m for c in cs if c._m is not None]
+        others = [c._frac.denom for c in cs if c._m is None and not _is_one(c._frac.denom)]
+        k = math.lcm(*[m[2] for m in triples])
+        # minus the lowest power of each variable in the triples and 0
+        shift = tuple([-min(col) for col in zip((0,) * self.r, *[m[0] for m in triples])])
+        if not others:
+            cleared = []
+            for c in cs:
+                m = c._m
+                if m is not None:
+                    cleared.append([(mul(m[0], shift), m[1] * (k // m[2]))])
+                else:
+                    cleared.append([(mul(e, shift), a * k) for e, a in c._frac.numer.items()])
+            if k == 1 and not any(shift):
+                return self.one, cleared
+            return _monomial(self, (shift, k, 1)), cleared
+        d = ring({shift: k})
+        quotients = dict.fromkeys(others)
+        for den in quotients:
+            d = d.lcm(den)
+        for den in quotients:
+            quotients[den] = d.exquo(den)
+        cleared = []
+        for c in cs:
+            if c.is_zero:
+                cleared.append([])
+                continue
+            f = c._f
+            q = quotients.get(f.denom)
+            if q is None:
+                q = quotients[f.denom] = d.exquo(f.denom)
+            cleared.append(list((f.numer * q).items()))
+        return RatFunc(self, self._field.raw_new(d, ring.one)), cleared
+
+    def polynomial(self, terms) -> "RatFunc":
+        """The polynomial with the given term list, as a field element."""
+        if not terms:
+            return self.zero
+        if len(terms) == 1:
+            (e, c), = terms
+            return _monomial(self, (e, c, 1))
+        return RatFunc(self, self._field.raw_new(self._ring.dtype(terms), self._ring.one))
 
     def parse(self, src: str) -> "RatFunc":
         return _Parser(self, src).parse()
@@ -788,6 +853,34 @@ def newton_root_valuations(p: PolyX) -> list[GammaVal]:
     return out
 
 
+def rational_roots(p: PolyX) -> tuple[list[RatFunc], bool]:
+    """Roots of p in F with multiplicity, and whether p splits over F.
+
+    The denominators of p are cleared and the result is factored in
+    Z[X, x_1, ..., x_r], the ring of F's numerators with X adjoined, so
+    terms move between the two rings unchanged; a linear factor a X + b
+    gives the root -b/a.
+    """
+    F = p.field
+    R = _sympy_ring(("_X",) + F.varnames, ZZ)[0]
+    _, cleared = F.clear_denominators(p.coeffs)
+    total = R.from_terms([((i,) + exps, c) for i, terms in enumerate(cleared)
+                          for exps, c in terms])
+    roots: list[RatFunc] = []
+    splits = True
+    for fac, mult in total.factor_list()[1]:
+        degx = max(mono[0] for mono in fac.monoms())
+        if degx == 0:
+            continue
+        if degx > 1:
+            splits = False
+            continue
+        a = F.polynomial([(exps[1:], c) for exps, c in fac.terms() if exps[0] == 1])
+        b = F.polynomial([(exps[1:], c) for exps, c in fac.terms() if exps[0] == 0])
+        roots.extend([-b / a] * mult)
+    return roots, splits
+
+
 # ---------------------------------------------------------------------------
 # Expression parser
 # ---------------------------------------------------------------------------
@@ -937,6 +1030,8 @@ class _Parser:
             if text != ")":
                 raise ExprSyntaxError("expected ')'", pos)
             return v
+        if kind is None:
+            raise ExprSyntaxError("unexpected end of expression", pos)
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 

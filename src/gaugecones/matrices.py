@@ -13,18 +13,16 @@ Z[x_1,...,x_r]: Berkowitz's recursion for the characteristic polynomial and
 Horner's rule for the Cayley-Hamilton tail, each sum of products in E one
 fused dot product.  Field elements are built from the results only: the
 charpoly of M by one rescale by powers of d, the inverse by one scalar
-division.
+division.  The kernels reach field elements only through
+FunctionField.clear_denominators and FunctionField.polynomial.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from typing import Sequence
 
-from sympy import ZZ
-from sympy.polys.rings import ring as _sympy_ring
-
-from .field import FieldError, PolyX, RatFunc, OrderingSpec, _is_one, _monomial
+from .field import FieldError, PolyX, RatFunc, OrderingSpec, rational_roots
 from .algebra import EElement, EKind, ESpec, SpecMismatch, complex_spec
 
 
@@ -169,20 +167,20 @@ class MatE:
         _check_kind(spec)
         F = spec.field
         d, A = _cleared(self)
-        mul = F._ring.monomial_mul
+        mul = F.add_exponents
         if spec.kind is EKind.COMPLEX:
-            p = _charpoly_commutative(A, spec.products, F._ring)
-            divisor = _ratfunc(F, _norm_coeffs(p[:1], spec.products, mul)[0])
+            p = _charpoly_commutative(A, spec.products, F)
+            divisor = F.polynomial(_norm_coeffs(p[:1], spec.products, mul)[0])
         else:
-            p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A, F._ring)]
-            divisor = _ratfunc(F, p[0][0])
+            p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A)]
+            divisor = F.polynomial(p[0][0])
         if divisor.is_zero:
             raise Singular("matrix is not invertible")
         B = _horner_tail(A, p, spec.products, mul)
         if spec.kind is EKind.COMPLEX:
             c = (p[0][0], _negated(p[0][1]))
             B = [[_dot((x,), (c,), spec.products, mul) for x in r] for r in B]
-        B = MatE(spec, [[EElement(spec, tuple([_ratfunc(F, c) for c in x])) for x in r]
+        B = MatE(spec, [[EElement(spec, tuple([F.polynomial(c) for c in x])) for x in r]
                         for r in B])
         return B.scale(-d / divisor)
 
@@ -210,27 +208,23 @@ def chi(M: MatE) -> MatE:
     if not M.spec.hamilton:
         raise WrongKind("complex embedding needs entries in (-1,-1)_F")
     C = complex_spec(M.spec.field)
-
-    def part(q: EElement, lo: int) -> EElement:
-        return EElement(C, (q.coords[lo], q.coords[lo + 1]))
-
-    n = M.n
-    m1 = [[part(M.rows[i][j], 0) for j in range(n)] for i in range(n)]
-    m2 = [[part(M.rows[i][j], 2) for j in range(n)] for i in range(n)]
-    top = [m1[i] + m2[i] for i in range(n)]
-    bot = [
-        [-m2[i][j].conj() for j in range(n)] + [m1[i][j].conj() for j in range(n)]
-        for i in range(n)
-    ]
-    return MatE(C, top + bot)
+    rows = _chi([[q.coords for q in r] for r in M.rows], operator.neg)
+    return MatE(C, [[EElement(C, x) for x in r] for r in rows])
 
 
-# The kernels below run on a matrix with its denominators cleared.  A
-# polynomial of Z[x_1, ..., x_r] is a term list [(exponents, integer), ...]
-# without zero coefficients, as sympy's PolyElement.items() gives it; an
-# element of E is the tuple of its coordinates' term lists, an empty list for
-# a zero coordinate; a matrix is a sequence of rows of elements.  The kernels
-# only add and multiply, so no RatFunc is built before the result.
+def _chi(A, neg):
+    """chi on rows of quaternion coordinate tuples, with neg negating one
+    coordinate: [[M1, M2], [-conj(M2), conj(M1)]] as rows of complex
+    coordinate pairs."""
+    top = [[(q[0], q[1]) for q in r] + [(q[2], q[3]) for q in r] for r in A]
+    bot = [[(neg(q[2]), q[3]) for q in r] + [(q[0], neg(q[1])) for q in r] for r in A]
+    return top + bot
+
+
+# The kernels below run on a matrix with its denominators cleared, on the
+# term lists of field.py's module docstring: an element of E is the tuple of
+# its coordinates' term lists, and a matrix a sequence of rows of elements.
+# The kernels only add and multiply, so no RatFunc is built before the result.
 
 
 def _dot(u, v, table, mul, init=None, neg=False):
@@ -240,7 +234,7 @@ def _dot(u, v, table, mul, init=None, neg=False):
     Every term product of every coordinate pair goes straight into one dict
     per output coordinate, with the sign of its structure constant: no
     product polynomial is built and no partial sum is copied.  mul adds two
-    exponent tuples (PolyRing.monomial_mul)."""
+    exponent tuples (FunctionField.add_exponents)."""
     acc = [dict(xs) for xs in init] if init is not None else [{} for _ in table]
     for x, y in zip(u, v):
         for i, xs in enumerate(x):
@@ -263,7 +257,7 @@ def _dot(u, v, table, mul, init=None, neg=False):
     return tuple([[(e, c) for e, c in out.items() if c] for out in acc])
 
 
-def _charpoly_commutative(A, table, ring) -> list:
+def _charpoly_commutative(A, table, F) -> list:
     """Coefficients of det(X - A), constant first, for a cleared matrix A
     over a commutative E, by Berkowitz's division-free recursion (Inf.
     Proc. Letters 18, 1984).
@@ -274,9 +268,9 @@ def _charpoly_commutative(A, table, ring) -> list:
     products in E, each sum of them one _dot, so the coefficients stay
     polynomials.  The 1 on T's diagonal is never multiplied: p_A1's
     coefficient starts the sum instead, and p_A1's leading 1 stays p's."""
-    mul = ring.monomial_mul
+    mul = F.add_exponents
     n = len(A)
-    p = [_scalar([(ring.zero_monom, 1)], len(table))]  # the empty block, leading first
+    p = [_scalar([((0,) * F.r, 1)], len(table))]  # the empty block, leading first
     for k in range(n - 1, -1, -1):
         R = A[k][k + 1:]
         col = [A[i][k] for i in range(k + 1, n)]  # A1^j C, from j = 0
@@ -340,23 +334,16 @@ def _norm_coeffs(q, table, mul) -> list:
     return out
 
 
-def _chi(A):
-    """chi on a cleared Hamilton matrix: [[M1, M2], [-conj(M2), conj(M1)]]."""
-    top = [[(q[0], q[1]) for q in r] + [(q[2], q[3]) for q in r] for r in A]
-    bot = [[(_negated(q[2]), q[3]) for q in r] + [(q[0], _negated(q[1])) for q in r]
-           for r in A]
-    return top + bot
-
-
-def _cleared_charpoly(spec: ESpec, A, ring) -> list:
+def _cleared_charpoly(spec: ESpec, A) -> list:
     """Term lists of the reduced characteristic polynomial of the cleared
     matrix A, constant first (see reduced_charpoly)."""
+    F = spec.field
     if spec.kind is EKind.BASE:
-        return [c[0] for c in _charpoly_commutative(A, spec.products, ring)]
+        return [c[0] for c in _charpoly_commutative(A, spec.products, F)]
     if spec.kind is EKind.COMPLEX:
-        q = _charpoly_commutative(A, spec.products, ring)
-        return _norm_coeffs(q, spec.products, ring.monomial_mul)
-    coeffs = _charpoly_commutative(_chi(A), complex_spec(spec.field).products, ring)
+        q = _charpoly_commutative(A, spec.products, F)
+        return _norm_coeffs(q, spec.products, F.add_exponents)
+    coeffs = _charpoly_commutative(_chi(A, _negated), complex_spec(F).products, F)
     if any(c[1] for c in coeffs):
         raise NonRealCoefficient("coefficient has a nonzero imaginary part")
     return [c[0] for c in coeffs]
@@ -368,67 +355,12 @@ def _check_kind(spec: ESpec) -> None:
 
 
 def _cleared(M: MatE):
-    """(d, rows of the term-list elements of d M), d as in _clear_denominators."""
-    d, flat = _clear_denominators([c for r in M.rows for q in r for c in q.coords])
+    """(d, rows of the term-list elements of d M), d the lcm of the
+    coordinate denominators (FunctionField.clear_denominators)."""
+    d, flat = M.spec.field.clear_denominators([c for r in M.rows for q in r for c in q.coords])
     elems = list(zip(*[iter(flat)] * M.spec.dim))
     m = M.m
     return d, [elems[i:i + m] for i in range(0, len(elems), m)]
-
-
-def _clear_denominators(cs: Sequence[RatFunc]) -> tuple[RatFunc, list]:
-    """(d, [term list of d c for c in cs]) for non-empty cs, with d the lcm
-    of the denominators, F.one itself when no c has one.  When
-    every denominator is a monomial, d and each d c are closed forms on the
-    monomial triples; otherwise each d c is the numerator times d exquo its
-    denominator, without a gcd.  The closed form spares the small residue
-    blocks a sympy fraction per coordinate: without it a 1 x 1 block over Q
-    took about three times as long."""
-    F = cs[0].field
-    ring = F._ring
-    mul = ring.monomial_mul
-    triples = [c._m for c in cs if c._m is not None]
-    others = [c._frac.denom for c in cs if c._m is None and not _is_one(c._frac.denom)]
-    k = math.lcm(*[m[2] for m in triples])
-    # minus the lowest power of each variable in the triples and 0
-    shift = tuple([-min(col) for col in zip((0,) * F.r, *[m[0] for m in triples])])
-    if not others:
-        cleared = []
-        for c in cs:
-            m = c._m
-            if m is not None:
-                cleared.append([(mul(m[0], shift), m[1] * (k // m[2]))])
-            else:
-                cleared.append([(mul(e, shift), a * k) for e, a in c._frac.numer.items()])
-        if k == 1 and not any(shift):
-            return F.one, cleared
-        return _monomial(F, (shift, k, 1)), cleared
-    d = ring({shift: k})
-    quotients = dict.fromkeys(others)
-    for den in quotients:
-        d = d.lcm(den)
-    for den in quotients:
-        quotients[den] = d.exquo(den)
-    cleared = []
-    for c in cs:
-        if c.is_zero:
-            cleared.append([])
-            continue
-        f = c._f
-        q = quotients.get(f.denom)
-        if q is None:
-            q = quotients[f.denom] = d.exquo(f.denom)
-        cleared.append(list((f.numer * q).items()))
-    return RatFunc(F, F._field.raw_new(d, ring.one)), cleared
-
-
-def _ratfunc(F, terms) -> RatFunc:
-    """The polynomial with the given term list, as a field element."""
-    if not terms:
-        return F.zero
-    if len(terms) == 1:
-        (e, c), = terms
-        return _monomial(F, (e, c, 1))
-    return RatFunc(F, F._field.raw_new(F._ring.dtype(terms), F._ring.one))
 
 
 def reduced_charpoly(M: MatE) -> PolyX:
@@ -450,9 +382,9 @@ def reduced_charpoly(M: MatE) -> PolyX:
     _check_kind(spec)
     F = spec.field
     d, A = _cleared(M)
-    coeffs = [_ratfunc(F, c) for c in _cleared_charpoly(spec, A, F._ring)]
+    coeffs = [F.polynomial(c) for c in _cleared_charpoly(spec, A)]
     if d is not F.one:
-        inv = d._reciprocal()
+        inv = d ** -1
         s = inv
         for k in range(len(coeffs) - 2, -1, -1):
             coeffs[k] = coeffs[k] * s
@@ -488,11 +420,11 @@ def cayley_hamilton_check(M: MatE) -> bool:
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     spec = M.spec
     _check_kind(spec)
-    ring = spec.field._ring
+    mul = spec.field.add_exponents
     _, A = _cleared(M)
-    p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A, ring)]
-    B = _horner_tail(A, p, spec.products, ring.monomial_mul)
-    pA = _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, ring.monomial_mul)
+    p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A)]
+    B = _horner_tail(A, p, spec.products, mul)
+    pA = _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, mul)
     return not any(any(x) for r in pA for x in r)
 
 
@@ -537,7 +469,7 @@ def f_eigenvalues(M: MatE) -> tuple[list[RatFunc], bool]:
     if not M.is_hermitian():
         raise NotHermitian("matrix is not bar-transpose symmetric")
     p = reduced_charpoly(M)
-    roots, splits = _rational_roots(p)
+    roots, splits = rational_roots(p)
     if M.spec.kind is not EKind.BASE:
         halved = []
         grouped: dict[RatFunc, int] = {}
@@ -549,40 +481,3 @@ def f_eigenvalues(M: MatE) -> tuple[list[RatFunc], bool]:
             halved.extend([r] * (mult // 2))
         roots = halved
     return sorted(roots, key=lambda f: str(f)), splits
-
-
-def _rational_roots(p: PolyX) -> tuple[list[RatFunc], bool]:
-    """Roots of p in F with multiplicity, and whether p splits over F.
-
-    The denominators of p are cleared and the result is factored in
-    Z[X, x_1, ..., x_r], the ring of F's numerators with X adjoined, so
-    terms move between the two rings unchanged.
-    """
-    F = p.field
-    names = ("_X",) + F.varnames
-    built = _sympy_ring(names, ZZ)
-    R = built[0]
-    fring = F._ring
-
-    _, cleared = _clear_denominators(p.coeffs)
-    total = R.from_terms([((i,) + exps, c) for i, terms in enumerate(cleared)
-                          for exps, c in terms])
-    _, factors = total.factor_list()
-    roots: list[RatFunc] = []
-    splits = True
-    for fac, mult in factors:
-        degx = max(mono[0] for mono in fac.monoms())
-        if degx == 0:
-            continue
-        if degx > 1:
-            splits = False
-            continue
-        a_terms = [(exps[1:], c) for exps, c in fac.terms() if exps[0] == 1]
-        b_terms = [(exps[1:], c) for exps, c in fac.terms() if exps[0] == 0]
-        A = fring.from_terms(a_terms) if a_terms else fring.zero
-        B = fring.from_terms(b_terms) if b_terms else fring.zero
-        root = RatFunc(F, F._field.new(-B, fring.one)) / RatFunc(
-            F, F._field.new(A, fring.one)
-        )
-        roots.extend([root] * mult)
-    return roots, splits

@@ -1,0 +1,49 @@
+"""How field elements are stored is private to field.py: no other module
+imports sympy, imports an underscore name from field.py, or reads an
+element's or a field's private attributes.  The other modules reach the
+representation through field.py's public names only, so a change to it is
+made in field.py alone."""
+
+import ast
+from pathlib import Path
+
+import gaugecones
+
+PRIVATE_ATTRIBUTES = {"_m", "_frac", "_f", "_field", "_ring", "_reciprocal"}
+
+
+def parsed_modules():
+    package = Path(gaugecones.__file__).parent
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(package.glob("*.py"))}
+
+
+def test_only_field_imports_sympy():
+    importers = set()
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in modules):
+                importers.add(name)
+    assert importers == {"field.py"}
+
+
+def test_no_private_names_of_field_outside_it():
+    found = []
+    for name, tree in parsed_modules().items():
+        if name == "field.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "field")
+                    or node.module == "gaugecones.field"):
+                found += [(name, node.lineno, a.name) for a in node.names
+                          if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_ATTRIBUTES:
+                found.append((name, node.lineno, node.attr))
+    assert found == []

@@ -107,12 +107,14 @@ class TestMalformedConfig:
             ({"ordering": ["1", 1]}, "ordering", "each -1 or 1"),
             ({"algebra": {"variant": "matrix", "kind": ["base"], "form": ["1", "x"]}},
              "algebra.kind", "unknown coefficient kind"),
+            ({"algebra": {"variant": "matrix", "form": ["1", ""]}}, "algebra",
+             "unexpected end of expression (at position 0)"),
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
-             "kind-list"],
+             "kind-list", "form-entry-empty"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         path = write_config(tmp_path, dict(BASE_DOC, **patch))

@@ -24,7 +24,7 @@ from gaugecones.algebra import (
     hamilton_spec,
     trace_form,
 )
-from gaugecones.matrices import MatE
+from gaugecones.matrices import MatE, psd_at
 from gaugecones.gauges import (
     GaugeContext,
     IndefiniteForm,
@@ -43,6 +43,7 @@ from gaugecones.cones import (
     lift_exists,
     lift_set,
     nil_orderings,
+    random_matrix,
     residue_cone,
     sample_cone,
     wadth_check,
@@ -105,6 +106,42 @@ class TestConeMember:
             assert cone_member(a, C)
         for a in sample_cone(Cneg, count=8, rng=rng):
             assert cone_member(a, Cneg)
+
+    def test_hermitian_but_not_symmetric_rejected(self, F2):
+        # [[1, 1], [1, 1]] is PSD, but for <1, x> sigma(a)_01 = x a_10 != a_01
+        x, _ = F2.vars()
+        for kind in ("base", "complex", "hamilton"):
+            C = make_cone(F2, [F2.one, x], eta=(1, 1), kind=kind)
+            one = C.espec.one()
+            a = MatE(C.espec, [[one, one], [one, one]])
+            assert psd_at(a, C.P) and not C.is_symmetric(a)
+            assert not cone_member(a, C)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_symmetry_then_twist(self, data):
+        """cone_member against the oracle "ad_h-symmetric, and psd_at on the
+        Gram twist", on sampled members, sigma(b) + b and random matrices,
+        each possibly negated."""
+        F = FunctionField(["x", "y"])
+        x, y = F.vars()
+        form, eta = data.draw(st.sampled_from([
+            ([F.one, x], (1, 1)), ([F.one, x * y], (-1, -1)),
+            ([-F.one, y], (1, -1)), ([F.one, x, y], (1, 1))]))
+        kind = data.draw(st.sampled_from(("base", "complex", "hamilton")))
+        C = make_cone(F, form, eta=eta, kind=kind)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        source = data.draw(st.sampled_from(("member", "symmetrised", "random")))
+        if source == "member":
+            a = sample_cone(C, count=1, rng=rng)[0]
+        else:
+            a = random_matrix(C.espec, C.n, rng)
+            if source == "symmetrised":
+                a = C.sigma(a) + a
+        if data.draw(st.booleans()):
+            a = -a
+        expected = C.is_symmetric(a) and psd_at(C.gram_twist(a), C.P)
+        assert cone_member(a, C) == expected
 
 
 class TestSampling:

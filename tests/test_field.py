@@ -1,5 +1,6 @@
 """Tests for the base field: valuation, orderings, residue, Newton polygons, parsing."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -380,6 +381,10 @@ class TestParser:
         with pytest.raises(ExprSyntaxError) as e:
             F2.parse("x + @")
         assert e.value.position == 4
+        for src, position in (("x+", 2), ("x*", 2), ("(", 1), ("", 0)):
+            with pytest.raises(ExprSyntaxError, match="unexpected end of expression") as e:
+                F2.parse(src)
+            assert e.value.position == position
 
     def test_exponent_bound(self, F2):
         x, y = F2.vars()
@@ -599,3 +604,36 @@ class TestFastPathOracle:
             assert _same(q / a, c / f)
         if q:
             assert _same(a / q, f / c)
+
+
+# ---------------------------------------------------------------------------
+# The conversions between field elements and term lists
+# ---------------------------------------------------------------------------
+
+class TestTermListConversions:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clear_denominators_then_polynomial(self, data):
+        # zero, monomials with exponents of either sign and fractional
+        # coefficients, polynomials, quotients whose denominators share the
+        # factor g, and quotients with unrelated, mostly coprime, denominators
+        F = data.draw(st.sampled_from(ORACLE_FIELDS))
+        g = data.draw(fracs(F, ("polynomial",)).filter(bool))
+
+        def element(kind):
+            if kind != "shared":
+                return data.draw(fracs(F, (kind,)))
+            num = data.draw(fracs(F, ("polynomial",)))
+            return num / (g * data.draw(fracs(F, ("polynomial",)).filter(bool)))
+
+        kinds = data.draw(st.lists(st.sampled_from(KINDS + ("shared",)), min_size=1,
+                                   max_size=6))
+        cs = [RatFunc(F, element(kind)) for kind in kinds]
+        d, ts = F.clear_denominators(cs)
+        assert d._f.denom == 1
+        assert d._f.numer == functools.reduce(lambda a, b: a.lcm(b), [c._f.denom for c in cs])
+        assert len(ts) == len(cs)
+        for c, t in zip(cs, ts):
+            assert all(a for _, a in t)
+            assert F.polynomial(t) == d * c
+        assert (d is F.one) == all(c._f.denom == 1 for c in cs)
