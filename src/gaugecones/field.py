@@ -757,12 +757,6 @@ class PolyX:
     def leading_coeff(self) -> RatFunc:
         return self.coeffs[-1]
 
-    def monic(self) -> "PolyX":
-        if self.is_zero:
-            raise NotMonicAfterNormalization("zero polynomial")
-        lc = self.leading_coeff()
-        return PolyX(self.field, [c / lc for c in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyX)
@@ -820,14 +814,14 @@ class PolyX:
 def newton_root_valuations(p: PolyX) -> list[GammaVal]:
     """Root valuations of a univariate polynomial, by its lower Newton polygon.
 
-    The polynomial is normalized monic first.  Roots over any valued
-    extension have valuations equal to the negated slopes of the lower
-    convex hull of the points (i, val(c_i)); zero roots contribute INF.
-    Returns a multiset (list, ascending) of size deg p.
+    Roots over any valued extension have valuations equal to the negated
+    slopes of the lower convex hull of the points (i, val(c_i)); zero roots
+    contribute INF.  Scaling p by c moves every point up by val(c), so the
+    slopes, and the answer, are those of the monic p / lc(p) without
+    dividing.  Returns a multiset (list, ascending) of size deg p.
     """
     if p.is_zero or len(p.coeffs) < 2:
         raise NotMonicAfterNormalization("need a nonzero polynomial of degree >= 1")
-    p = p.monic()
     m = 0
     while p.coeffs[m].is_zero:
         m += 1

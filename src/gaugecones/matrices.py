@@ -2,7 +2,7 @@
 
 Provides exact matrix arithmetic over E, the complex 2n x 2n embedding of a
 quaternionic matrix, reduced characteristic polynomials with coefficients in
-the base field, right-eigenvalue tests, Cayley-Hamilton verification, exact
+the base field, a right-eigenvalue test, Cayley-Hamilton verification, exact
 positive-semidefiniteness at an ordering, and extraction of eigenvalues lying
 in the base field.
 
@@ -161,18 +161,15 @@ class MatE:
         E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of HermContext;
         other quaternion algebras raise WrongKind (see chi).
         """
-        if not self.is_square:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        spec = self.spec
-        _check_kind(spec)
-        F = spec.field
         d, A = _cleared(self)
+        spec = self.spec
+        F = spec.field
         mul = F.add_exponents
         if spec.kind is EKind.COMPLEX:
             p = _charpoly_commutative(A, spec.products, F)
-            divisor = F.polynomial(_norm_coeffs(p[:1], spec.products, mul)[0])
+            divisor = F.polynomial(_norm_coeffs(p[:1], spec.products, mul)[0][0])
         else:
-            p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A)]
+            p = _cleared_charpoly(spec, A)
             divisor = F.polynomial(p[0][0])
         if divisor.is_zero:
             raise Singular("matrix is not invertible")
@@ -318,10 +315,10 @@ def _scalar(terms, dim: int):
 
 
 def _norm_coeffs(q, table, mul) -> list:
-    """Coefficients of q conj(q) = Re(q)^2 + Im(q)^2 for a polynomial q over
-    F(sqrt(-1)) given by its complex coefficients, constant first.  table
-    is F(sqrt(-1))'s; with the imaginary coordinates empty, only 1 * 1 = 1
-    is read."""
+    """Coefficients of q conj(q) = Re(q)^2 + Im(q)^2, central elements, for
+    a polynomial q over F(sqrt(-1)) given by its complex coefficients,
+    constant first.  table is F(sqrt(-1))'s; with the imaginary coordinates
+    empty, only 1 * 1 = 1 is read."""
     n = len(q)
     re = [(c[0], []) for c in q]
     im = [(c[1], []) for c in q]
@@ -330,23 +327,23 @@ def _norm_coeffs(q, table, mul) -> list:
         idx = range(max(0, k - n + 1), min(k, n - 1) + 1)
         u = [re[i] for i in idx] + [im[i] for i in idx]
         v = [re[k - i] for i in idx] + [im[k - i] for i in idx]
-        out.append(_dot(u, v, table, mul)[0])
+        out.append(_dot(u, v, table, mul))
     return out
 
 
 def _cleared_charpoly(spec: ESpec, A) -> list:
-    """Term lists of the reduced characteristic polynomial of the cleared
-    matrix A, constant first (see reduced_charpoly)."""
+    """The reduced characteristic polynomial of the cleared matrix A, as
+    central elements of E, constant first (see reduced_charpoly)."""
     F = spec.field
     if spec.kind is EKind.BASE:
-        return [c[0] for c in _charpoly_commutative(A, spec.products, F)]
+        return _charpoly_commutative(A, spec.products, F)
     if spec.kind is EKind.COMPLEX:
         q = _charpoly_commutative(A, spec.products, F)
         return _norm_coeffs(q, spec.products, F.add_exponents)
     coeffs = _charpoly_commutative(_chi(A, _negated), complex_spec(F).products, F)
     if any(c[1] for c in coeffs):
         raise NonRealCoefficient("coefficient has a nonzero imaginary part")
-    return [c[0] for c in coeffs]
+    return [_scalar(c[0], spec.dim) for c in coeffs]
 
 
 def _check_kind(spec: ESpec) -> None:
@@ -356,7 +353,12 @@ def _check_kind(spec: ESpec) -> None:
 
 def _cleared(M: MatE):
     """(d, rows of the term-list elements of d M), d the lcm of the
-    coordinate denominators (FunctionField.clear_denominators)."""
+    coordinate denominators (FunctionField.clear_denominators).  The one
+    way into the kernels: M must be square, over F, F(sqrt(-1)) or
+    (-1,-1)_F."""
+    if not M.is_square:
+        raise DimensionMismatch("kernel input is not a square matrix")
+    _check_kind(M.spec)
     d, flat = M.spec.field.clear_denominators([c for r in M.rows for q in r for c in q.coords])
     elems = list(zip(*[iter(flat)] * M.spec.dim))
     m = M.m
@@ -376,13 +378,9 @@ def reduced_charpoly(M: MatE) -> PolyX:
     only; its coefficient of X^k is d^(deg-k) p_k, so the rescale at the end
     is one product per coefficient, and none when d = 1.
     """
-    if not M.is_square:
-        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    spec = M.spec
-    _check_kind(spec)
-    F = spec.field
     d, A = _cleared(M)
-    coeffs = [F.polynomial(c) for c in _cleared_charpoly(spec, A)]
+    F = M.spec.field
+    coeffs = [F.polynomial(c[0]) for c in _cleared_charpoly(M.spec, A)]
     if d is not F.one:
         inv = d ** -1
         s = inv
@@ -394,21 +392,22 @@ def reduced_charpoly(M: MatE) -> PolyX:
 
 
 def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
-    """Whether lam is a right eigenvalue of M (some x != 0 with Mx = x lam)."""
+    """Whether lam is a right eigenvalue of M (some x != 0 with Mx = x lam).
+
+    The reduced characteristic polynomial p lies in F[X], so p(lam) = 0 iff
+    the minimal polynomial of lam over F divides p: X - lam for central
+    lam, X^2 - trd(lam) X + n(lam) otherwise.  Over F(sqrt(-1)), p is
+    det(X - M) times its conjugate, so the test holds for lam when lam or
+    conj(lam) is an eigenvalue.
+    """
     if lam.spec != M.spec:
         raise SpecMismatch("eigenvalue lives over a different algebra")
-    p = reduced_charpoly(M)
-    if all(c.is_zero for c in lam.coords[1:]) or M.spec.kind is not EKind.QUAT:
-        # central case: direct evaluation in E
-        acc = M.spec.zero()
-        for c in reversed(p.coeffs):
-            acc = acc * lam + M.spec.scalar(c)
-        return acc.is_zero
-    # non-central quaternion: lam satisfies X^2 - trd(lam) X + n(lam)
     F = M.spec.field
-    q = PolyX(F, [lam.norm(), -lam.trd(), F.one])
-    _, rem = p.divmod(q)
-    return rem.is_zero
+    if lam.is_central():
+        q = PolyX(F, [-lam.real_part(), F.one])
+    else:
+        q = PolyX(F, [lam.norm(), -lam.trd(), F.one])
+    return reduced_charpoly(M).divmod(q)[1].is_zero
 
 
 def cayley_hamilton_check(M: MatE) -> bool:
@@ -416,13 +415,10 @@ def cayley_hamilton_check(M: MatE) -> bool:
 
     Checked as p'(d M) = 0 on the cleared matrix d M, with p' its own
     reduced charpoly, which holds iff p(M) = 0 (p'(X) = d^deg p(X / d))."""
-    if not M.is_square:
-        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    spec = M.spec
-    _check_kind(spec)
-    mul = spec.field.add_exponents
     _, A = _cleared(M)
-    p = [_scalar(c, spec.dim) for c in _cleared_charpoly(spec, A)]
+    spec = M.spec
+    mul = spec.field.add_exponents
+    p = _cleared_charpoly(spec, A)
     B = _horner_tail(A, p, spec.products, mul)
     pA = _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, mul)
     return not any(any(x) for r in pA for x in r)

@@ -2,7 +2,7 @@
 imports sympy, imports an underscore name from field.py, or reads an
 element's or a field's private attributes.  The other modules reach the
 representation through field.py's public names only, so a change to it is
-made in field.py alone."""
+made in field.py alone.  And no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -47,3 +47,22 @@ def test_no_private_names_of_field_outside_it():
             elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_ATTRIBUTES:
                 found.append((name, node.lineno, node.attr))
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, line, bound) for bound, line in imported.items()
+                   if bound not in used]
+    assert unused == []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gaugecones import cli
-from gaugecones.field import MAX_EXPONENT, MAX_TERMS, RatFunc
+from gaugecones.field import MAX_EXPONENT, MAX_TERMS, FieldError, RatFunc
 from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
@@ -109,16 +109,35 @@ class TestMalformedConfig:
              "algebra.kind", "unknown coefficient kind"),
             ({"algebra": {"variant": "matrix", "form": ["1", ""]}}, "algebra",
              "unexpected end of expression (at position 0)"),
+            ({"algebra": {"variant": "matrix", "form": ["1", "0"]}}, "algebra",
+             "form entries must be invertible"),
+            ({"algebra": {"variant": "quatdiv", "a": "0", "b": "y"}}, "algebra",
+             "quaternion parameters must be nonzero"),
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
-             "kind-list", "form-entry-empty"],
+             "kind-list", "form-entry-empty", "form-entry-zero", "quatdiv-a-zero"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
-        path = write_config(tmp_path, dict(BASE_DOC, **patch))
-        assert main(["run", path]) == 2
+        self.check_exit_2(tmp_path, capsys, dict(BASE_DOC, **patch), location, message)
+
+    @pytest.mark.parametrize(
+        "doc, location, message",
+        [
+            ([1], "$", "configuration must be an object"),
+            ({k: v for k, v in BASE_DOC.items() if k != "algebra"}, "algebra",
+             "algebra section is required"),
+        ],
+        ids=["top-level-list", "no-algebra"],
+    )
+    def test_whole_document(self, tmp_path, capsys, doc, location, message):
+        self.check_exit_2(tmp_path, capsys, doc, location, message)
+
+    @staticmethod
+    def check_exit_2(tmp_path, capsys, doc, location, message):
+        assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
         assert f"configuration error: {location}: " in err
         assert message in err
@@ -243,6 +262,24 @@ class TestRun:
         assert report["analyses"]["nil"]["nil"] == ["-+", "+-", "++"]
         assert report["analyses"]["wadth"]["allLift"] is False
 
+    def test_per_ordering_analyses_need_a_matrix_presentation(self):
+        cfg = parse_config(dict(QUATDIV_DOC, analyses=["gauge", "residue", "cones", "compat"]))
+        report = run(cfg)["analyses"]
+        for name, noun in (("gauge", "gauge"), ("residue", "residue"), ("cones", "cone"),
+                           ("compat", "compatibility")):
+            assert report[name] == {
+                "note": f"{noun} analysis applies to matrix presentations only"}
+
+    def test_raising_analysis_isolated(self, tmp_path, capsys, monkeypatch):
+        def boom(spec):
+            raise FieldError("boom")
+
+        monkeypatch.setattr(cli, "lift_set", boom)
+        path = write_config(tmp_path, dict(BASE_DOC, analyses=["lift", "wadth"]))
+        assert main(["run", path]) == 1
+        report = json.loads(capsys.readouterr().out)["analyses"]
+        assert report["lift"] == {"error": "FieldError: boom"}
+        assert report["wadth"]["consistent"]
 
     def test_nonreal_charpoly_clears_coefficients_real(self, monkeypatch):
         def nonreal(M):
@@ -345,8 +382,32 @@ class TestViolationDetection:
     def test_violation_list_marks_failure(self):
         assert report_has_violations({"C0": {"tried": 3, "violations": ["bad"]}})
 
+    @pytest.mark.parametrize("key, value", [("harrisonMatches", False),
+                                            ("consistent", False),
+                                            ("cayleyHamiltonViolations", 2)])
+    def test_flag_marks_failure(self, key, value):
+        assert report_has_violations({"analyses": {"x": {key: value}}})
+
     def test_clean_report(self):
         assert not report_has_violations({"C0": {"tried": 3, "violations": []}})
+
+
+class TestOverQ:
+    """With no variables the valuation is trivial: the gauge ring is the
+    whole algebra and its ideal is {0}, so the elements that C3, C4, C6 and
+    C7 scale into the ideal are 0."""
+
+    @pytest.mark.parametrize("algebra", [
+        {"variant": "matrix", "form": ["1"]},
+        {"variant": "matrix", "kind": "hamilton", "form": ["1", "2"]},
+    ], ids=["base", "hamilton"])
+    def test_compat_has_no_violations(self, tmp_path, capsys, algebra):
+        doc = {"algebra": algebra, "analyses": ["compat"], "sampleCount": 2}
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+        compat = json.loads(capsys.readouterr().out)["analyses"]["compat"]
+        assert list(compat) == ["()"]
+        for name, res in compat["()"].items():
+            assert res["tried"] > 0 and res["violations"] == [], name
 
 
 QUATDIV_DOC = {

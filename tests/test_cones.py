@@ -29,11 +29,15 @@ from gaugecones.gauges import (
     GaugeContext,
     IndefiniteForm,
     adjoint,
+    gauge_value,
     in_gauge_ring,
     residue_element,
 )
 from gaugecones.cones import (
     AnisotropyResult,
+    CompatReport,
+    ConditionResult,
+    _scale_into_ring,
     UnsupportedVariant,
     anisotropy_certificate,
     check_prepositive_axioms,
@@ -44,11 +48,13 @@ from gaugecones.cones import (
     lift_set,
     nil_orderings,
     random_matrix,
+    random_positive_scalar,
     residue_cone,
     sample_cone,
     wadth_check,
 )
 
+from test_acceptance import contexts as reference_contexts
 from test_algebra import hermitian_contexts, quaternion_specs, reference_trace_form
 
 
@@ -181,6 +187,35 @@ class TestAxioms:
             assert report.ok, {
                 k: v.violations for k, v in report.conditions.items() if not v.ok
             }
+
+
+    def test_failing_condition_keeps_its_witness(self):
+        report = CompatReport(3, {"C0": ConditionResult()})
+        report.check("C0", True, "kept only on failure")
+        report.check("C0", False, (1, "C0"))
+        assert report.conditions["C0"].tried == 2
+        assert report.conditions["C0"].violations == [(1, "C0")]
+        assert not report.ok
+
+
+class TestPerturbedResidue:
+    """compatibility_suite perturbs u0 + m, u0 a positive constant and m a
+    member scaled into the gauge ideal, without testing its residue for
+    invertibility: the residue is u0 I in every block."""
+
+    def test_residue_is_u0(self):
+        rng = random.Random(58)
+        for ctx, etas in reference_contexts():
+            F = ctx.field
+            for eta in etas:
+                G = GaugeContext(ctx, OrderingSpec(eta))
+                for a in sample_cone(G, count=20, rng=rng):
+                    m = a.scale(_scale_into_ring(gauge_value(a, G), F, strict=True))
+                    u0 = random_positive_scalar(F, G.P, rng, maxdeg=0)
+                    blocks = residue_element(MatE.identity(G.espec, G.n).scale(u0) + m, G)
+                    for B in blocks:
+                        u = B.spec.field.from_fraction(u0.as_fraction())
+                        assert B == MatE.identity(B.spec, B.n).scale(u)
 
 
 class TestResidueCone:

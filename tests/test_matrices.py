@@ -14,6 +14,7 @@ from gaugecones.field import (
     PolyX,
     RatFunc,
     enumerate_orderings,
+    newton_root_valuations,
 )
 from gaugecones.algebra import (
     EElement,
@@ -24,6 +25,7 @@ from gaugecones.algebra import (
     quat_spec,
 )
 from gaugecones.matrices import (
+    DimensionMismatch,
     MatE,
     NotHermitian,
     Singular,
@@ -475,6 +477,13 @@ class TestChi:
         with pytest.raises(WrongKind):
             psd_at(MatE.identity(spec, 1), OrderingSpec((1, 1)))
 
+    def test_non_square_rejected(self, F2):
+        for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2)):
+            M = MatE.zeros(spec, 2, 3)
+            for f in (reduced_charpoly, cayley_hamilton_check, MatE.inverse):
+                with pytest.raises(DimensionMismatch):
+                    f(M)
+
 
 class TestReducedCharpoly:
     def test_quaternion_scalar(self, F2):
@@ -538,7 +547,57 @@ class TestReducedCharpoly:
                     assert reduced_charpoly(M) == reference_reduced_charpoly(M)
 
 
+def monic_first_newton(p):
+    """Root valuations of the monic p / lc(p): the reference for
+    newton_root_valuations, which reads the Newton polygon of p itself."""
+    lc = p.coeffs[-1]
+    return newton_root_valuations(PolyX(p.field, [c / lc for c in p.coeffs]))
+
+
+class TestNewtonOnCharpolys:
+    def test_scale_free(self, F2):
+        rng = random.Random(41)
+        for _ in range(5):
+            for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2)):
+                for n in (1, 2, 3):
+                    for M in (random_mat(spec, n, rng), random_rational_mat(spec, n, rng)):
+                        p = reduced_charpoly(M)
+                        c = random_ratfunc(F2, rng)
+                        for q in (p, PolyX(F2, [c * a for a in p.coeffs])):
+                            assert newton_root_valuations(q) == monic_first_newton(q)
+
+
+def horner_in_e(M, lam):
+    """p(lam) = 0 evaluated in E by Horner's rule, p the reduced charpoly
+    of M: the reference for is_right_eigenvalue's divisibility test."""
+    acc = M.spec.zero()
+    for c in reversed(reduced_charpoly(M).coeffs):
+        acc = acc * lam + M.spec.scalar(c)
+    return acc.is_zero
+
+
 class TestRightEigenvalue:
+    def test_matches_horner_in_e(self, F2):
+        rng = random.Random(43)
+
+        def element(spec, central):
+            coords = [random_element(F2, rng, nterms=2, maxdeg=2, height=5)]
+            for _ in range(spec.dim - 1):
+                coords.append(F2.zero if central else
+                              random_element(F2, rng, nterms=2, maxdeg=2, height=5))
+            return EElement(spec, tuple(coords))
+
+        for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2)):
+            for n in (1, 1, 2, 2, 3):
+                for central in (True, False):
+                    lam = element(spec, central)
+                    # a diagonal matrix has its entries as right eigenvalues
+                    D = MatE.diagonal(spec, [lam] + [element(spec, False) for _ in range(n - 1)])
+                    assert is_right_eigenvalue(D, lam)
+                    assert horner_in_e(D, lam)
+                    for M in (random_mat(spec, n, rng), random_mat(spec, n, rng, sparse=False)):
+                        assert is_right_eigenvalue(M, lam) == horner_in_e(M, lam)
+
     def test_j_has_eigenvalue_i(self, F2):
         H = hamilton_spec(F2)
         one, i, j, k = H.basis()
