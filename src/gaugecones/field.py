@@ -43,6 +43,14 @@ and term lists, so the kernels never see how an element is stored:
 FunctionField.clear_denominators(cs) gives (d, the term lists of d c for c
 in cs) with d the lcm of the denominators, and FunctionField.polynomial
 gives the element with a term list.  rational_roots factors on them too.
+
+Where few variables occur, a term list is better held as its Kronecker
+image, one int: x_i -> 2^(width s_i) is a ring homomorphism Z[x] -> Z, so
+a kernel's sums and products of polynomials become sums and products of
+ints, and only its outputs are read back.  The digit layout is private to
+Kronecker: FunctionField.largest_exponents gives the exponents that set
+its degree caps, Kronecker.image encodes a term list, and Kronecker.terms
+decodes an int whose polynomial lies within the caps and the width.
 """
 
 from __future__ import annotations
@@ -440,6 +448,11 @@ class FunctionField:
             return _monomial(self, (e, c, 1))
         return RatFunc(self, self._field.raw_new(self._ring.dtype(terms), self._ring.one))
 
+    def largest_exponents(self, polys) -> tuple[int, ...]:
+        """The largest exponent of each variable in the term lists polys,
+        0 for a variable that does not occur."""
+        return tuple(map(max, zip((0,) * self.r, *[e for terms in polys for e, _ in terms])))
+
     def parse(self, src: str) -> "RatFunc":
         return _Parser(self, src).parse()
 
@@ -451,6 +464,74 @@ class FunctionField:
 
     def __repr__(self):
         return f"FunctionField({', '.join(self.varnames) or 'Q'})"
+
+
+class Kronecker:
+    """Kronecker's substitution (Kronecker 1882; Schoenhage 1982) for the
+    polynomials of Z[x_1,...,x_r] of degree at most caps[i] in x_i whose
+    coefficients lie strictly between -2^(width-1) and 2^(width-1).
+
+    The image of a term list is the one int sum of c 2^(width key(e)), with
+    key(e) = sum of e_i s_i, s_1 = 1 and s_(i+1) = s_i (caps[i] + 1): the
+    exponents are the digits of the key in mixed radix, and the
+    coefficients the width-bit digits of the image, taken balanced.  As
+    x_i -> 2^(width s_i) is a ring homomorphism, sums and products of images
+    are the images of sums and products, whatever the degrees and
+    coefficients along the way; only a value that is read back, by terms or
+    by a test for zero, must lie within the caps and the width.  Then it
+    decodes uniquely, and its image is 0 iff it is 0.
+    """
+
+    __slots__ = ("_width", "_strides", "_radices", "_digits")
+
+    def __init__(self, caps: Sequence[int], width: int):
+        self._width = width
+        self._radices = [c + 1 for c in caps]
+        self._strides = []
+        self._digits = 1
+        for m in self._radices:
+            self._strides.append(self._digits)
+            self._digits *= m
+
+    def image(self, terms) -> int:
+        """The image of a term list within the caps."""
+        w, strides = self._width, self._strides
+        return sum([c << w * sum(map(operator.mul, e, strides)) for e, c in terms])
+
+    def terms(self, value: int) -> list:
+        """The term list whose image is value, for a value that lies within
+        the caps and the width.  Halving by balanced remainders reads the
+        non-zero digits without a pass over the zero ones."""
+        found = []
+        self._split(value, 0, self._digits, found)
+        out = []
+        for key, c in found:
+            exps = []
+            for m in self._radices:
+                key, e = divmod(key, m)
+                exps.append(e)
+            out.append((tuple(exps), c))
+        return out
+
+    def _split(self, value: int, low: int, count: int, found: list) -> None:
+        """Append (key, digit) for the non-zero digits of value, the image of
+        digits low, ..., low + count - 1 shifted down by low digits."""
+        if not value:
+            return
+        w = self._width
+        if count == 1:
+            if abs(value) >> (w - 1):
+                raise FieldError("Kronecker image exceeds its width")
+            found.append((low, value))
+            return
+        half = count >> 1
+        shift = w * half
+        lo, hi = value & ((1 << shift) - 1), value >> shift
+        if lo >> (shift - 1):
+            lo -= 1 << shift
+            hi += 1
+        self._split(lo, low, half, found)
+        self._split(hi, low + half, count - half, found)
 
 
 def _is_one(poly) -> bool:

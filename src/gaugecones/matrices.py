@@ -8,10 +8,19 @@ in the base field.
 
 Characteristic polynomials, the Cayley-Hamilton check and the inverse are
 division-free kernels on the matrix with its denominators cleared, d M with
-d the lcm of the coordinate denominators, held as coordinate term lists over
+d the lcm of the coordinate denominators, whose coordinates lie in
 Z[x_1,...,x_r]: Berkowitz's recursion for the characteristic polynomial and
 Horner's rule for the Cayley-Hamilton tail, each sum of products in E one
-fused dot product.  Field elements are built from the results only: the
+dot product.  The kernels are written once over the representation of the
+coordinates.  Where Berkowitz runs on at least 6 rows (n, or 2n for a
+quaternion matrix) and at most two variables occur in d M, each coordinate
+is its Kronecker image, one int (field.Kronecker), and a dot product is a
+sum of int products; elsewhere the coordinates stay term lists, and a dot
+product adds each term product into one dict per output coordinate.  The
+images' width comes from a first run of the same kernel on majorants: the
+coordinates' 1-norms, with every structure-constant sign taken as + and
+negation as the identity, which bound the 1-norm, and so the coefficients,
+of every output.  Field elements are built from the outputs only: the
 charpoly of M by one rescale by powers of d, the inverse by one scalar
 division.  The kernels reach field elements only through
 FunctionField.clear_denominators and FunctionField.polynomial.
@@ -19,10 +28,11 @@ FunctionField.clear_denominators and FunctionField.polynomial.
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .field import FieldError, PolyX, RatFunc, OrderingSpec, rational_roots
+from .field import FieldError, Kronecker, PolyX, RatFunc, OrderingSpec, rational_roots
 from .algebra import EElement, EKind, ESpec, SpecMismatch, complex_spec
 
 
@@ -163,21 +173,12 @@ class MatE:
         """
         d, A = _cleared(self)
         spec = self.spec
-        F = spec.field
-        mul = F.add_exponents
-        if spec.kind is EKind.COMPLEX:
-            p = _charpoly_commutative(A, spec.products, F)
-            divisor = F.polynomial(_norm_coeffs(p[:1], spec.products, mul)[0][0])
-        else:
-            p = _cleared_charpoly(spec, A)
-            divisor = F.polynomial(p[0][0])
+        (imaginary, divisor, B), element = _run(spec, A, _inverse_kernel)
+        _require_real(imaginary)
+        divisor = element(divisor[0])
         if divisor.is_zero:
             raise Singular("matrix is not invertible")
-        B = _horner_tail(A, p, spec.products, mul)
-        if spec.kind is EKind.COMPLEX:
-            c = (p[0][0], _negated(p[0][1]))
-            B = [[_dot((x,), (c,), spec.products, mul) for x in r] for r in B]
-        B = MatE(spec, [[EElement(spec, tuple([F.polynomial(c) for c in x])) for x in r]
+        B = MatE(spec, [[EElement(spec, tuple([element(c) for c in x])) for x in r]
                         for r in B])
         return B.scale(-d / divisor)
 
@@ -218,20 +219,33 @@ def _chi(A, neg):
     return top + bot
 
 
-# The kernels below run on a matrix with its denominators cleared, on the
-# term lists of field.py's module docstring: an element of E is the tuple of
-# its coordinates' term lists, and a matrix a sequence of rows of elements.
-# The kernels only add and multiply, so no RatFunc is built before the result.
+# The kernels below run on a matrix with its denominators cleared, in one
+# of three representations of its coordinates, each a _Ring: the term lists
+# of field.py's module docstring, their Kronecker images (field.Kronecker),
+# and majorants, ints that bound the coordinates' 1-norms.  An element of E
+# is the tuple of its coordinates, and a matrix a sequence of rows of
+# elements.  The kernels only add and multiply, so no RatFunc is built
+# before the result; _run picks the representation and reads results back.
 
 
-def _dot(u, v, table, mul, init=None, neg=False):
-    """init + sum of u_k v_k (minus the sum if neg) for elements of an
-    algebra whose structure constants, table as in ESpec.products, are +-1.
+class _Ring(NamedTuple):
+    """One representation of the coordinates.  dot(u, v, table, init=None,
+    neg=False) is init plus the sum of u_k v_k (minus it if neg) for
+    elements of an algebra whose structure constants, table as in
+    ESpec.products, are +-1; zero and one are the coordinates of 0 and 1,
+    and neg negates a coordinate."""
 
-    Every term product of every coordinate pair goes straight into one dict
-    per output coordinate, with the sign of its structure constant: no
-    product polynomial is built and no partial sum is copied.  mul adds two
-    exponent tuples (FunctionField.add_exponents)."""
+    dot: Callable
+    zero: object
+    one: object
+    neg: Callable
+
+
+def _dot(u, v, table, init=None, neg=False, *, mul):
+    """dot on term lists.  Every term product of every coordinate pair goes
+    straight into one dict per output coordinate, with the sign of its
+    structure constant: no product polynomial is built and no partial sum
+    is copied.  mul adds two exponent tuples (FunctionField.add_exponents)."""
     acc = [dict(xs) for xs in init] if init is not None else [{} for _ in table]
     for x, y in zip(u, v):
         for i, xs in enumerate(x):
@@ -254,7 +268,54 @@ def _dot(u, v, table, mul, init=None, neg=False):
     return tuple([[(e, c) for e, c in out.items() if c] for out in acc])
 
 
-def _charpoly_commutative(A, table, F) -> list:
+def _dot_image(u, v, table, init=None, neg=False):
+    """dot on Kronecker images: one int product per pair of non-zero
+    coordinates, added or subtracted by the sign of its structure constant."""
+    acc = list(init) if init is not None else [0] * len(table)
+    for x, y in zip(u, v):
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            row = table[i]
+            for j, b in enumerate(y):
+                if b:
+                    k, sign, _ = row[j]
+                    if (sign < 0) is not neg:
+                        acc[k] -= a * b
+                    else:
+                        acc[k] += a * b
+    return tuple(acc)
+
+
+def _dot_majorant(u, v, table, init=None, neg=False):
+    """dot on majorants: _dot_image with every sign taken as +.  Since
+    |f + g|_1 <= |f|_1 + |g|_1 and |f g|_1 <= |f|_1 |g|_1, each output
+    bounds the 1-norm of dot's output on coordinates whose 1-norms the
+    inputs bound."""
+    acc = list(init) if init is not None else [0] * len(table)
+    for x, y in zip(u, v):
+        for i, a in enumerate(x):
+            if a:
+                row = table[i]
+                for j, b in enumerate(y):
+                    acc[row[j][0]] += a * b
+    return tuple(acc)
+
+
+_IMAGE = _Ring(_dot_image, 0, 1, operator.neg)
+_MAJORANT = _Ring(_dot_majorant, 0, 1, operator.pos)
+
+
+def _term_ring(F) -> _Ring:
+    return _Ring(functools.partial(_dot, mul=F.add_exponents), [], [((0,) * F.r, 1)],
+                 _negated)
+
+
+def _negated(terms):
+    return [(e, -c) for e, c in terms]
+
+
+def _charpoly_commutative(A, table, ring) -> list:
     """Coefficients of det(X - A), constant first, for a cleared matrix A
     over a commutative E, by Berkowitz's division-free recursion (Inf.
     Proc. Letters 18, 1984).
@@ -262,88 +323,117 @@ def _charpoly_commutative(A, table, F) -> list:
     Each trailing principal block [[a, R], [C, A1]] has p = T p_A1, where T
     is the lower-triangular Toeplitz matrix with first column 1, -a, -R C,
     -R A1 C, -R A1^2 C, ...  Only ring operations occur, about n^4/4
-    products in E, each sum of them one _dot, so the coefficients stay
-    polynomials.  The 1 on T's diagonal is never multiplied: p_A1's
+    products in E, each sum of them one dot, so the coefficients stay
+    polynomials.  t holds the column without its signs, which the dot into
+    p supplies.  The 1 on T's diagonal is never multiplied: p_A1's
     coefficient starts the sum instead, and p_A1's leading 1 stays p's."""
-    mul = F.add_exponents
+    dot = ring.dot
     n = len(A)
-    p = [_scalar([((0,) * F.r, 1)], len(table))]  # the empty block, leading first
+    p = [_scalar(ring.one, ring, len(table))]  # the empty block, leading first
     for k in range(n - 1, -1, -1):
-        R = A[k][k + 1:]
+        row = A[k][k + 1:]
         col = [A[i][k] for i in range(k + 1, n)]  # A1^j C, from j = 0
-        t = [None, tuple([_negated(xs) for xs in A[k][k]])]
+        t = [None, A[k][k]]
         for j in range(n - 1 - k):
             if j:
-                col = [_dot(A[i][k + 1:], col, table, mul) for i in range(k + 1, n)]
-            t.append(_dot(R, col, table, mul, neg=True))
-        # (T p)_i = p_i + sum over j < i of t[i - j] p_j
-        p = p[:1] + [_dot(t[i:0:-1], p[:i], table, mul, init=p[i] if i < len(p) else None)
+                col = [dot(A[i][k + 1:], col, table) for i in range(k + 1, n)]
+            t.append(dot(row, col, table))
+        # (T p)_i = p_i - sum over j < i of t[i - j] p_j
+        p = p[:1] + [dot(t[i:0:-1], p[:i], table, init=p[i] if i < len(p) else None, neg=True)
                      for i in range(1, len(p) + 1)]
     p.reverse()
     return p
 
 
-def _horner_tail(A, p, table, mul):
+def _horner_tail(A, p, table, ring):
     """B = sum over k >= 1 of p_k A^(k-1), by Horner's rule, for a cleared
     matrix A and a monic p given constant first as elements; then
     p(A) = B A + p_0 I.
 
-    Starts from the identity, whose empty coordinates the first product
+    Starts from the identity, whose zero coordinates the first product
     skips; scalars enter on the diagonal only, as the start of its sums."""
     n = len(A)
-    zero = ([],) * len(table)
+    zero = (ring.zero,) * len(table)
     B = [[p[-1] if i == j else zero for j in range(n)] for i in range(n)]
     cols = list(zip(*A))
     for c in reversed(p[1:-1]):
-        B = _mul_add_scalar(B, cols, c, table, mul)
+        B = _mul_add_scalar(B, cols, c, table, ring)
     return B
 
 
-def _mul_add_scalar(B, cols, c, table, mul):
+def _mul_add_scalar(B, cols, c, table, ring):
     """B A + c I, for A given by its columns and a central c."""
-    return [[_dot(r, col, table, mul, init=c if i == j else None)
+    return [[ring.dot(r, col, table, init=c if i == j else None)
              for j, col in enumerate(cols)] for i, r in enumerate(B)]
 
 
-def _negated(terms):
-    return [(e, -c) for e, c in terms]
+def _scalar(c, ring, dim: int):
+    """The central element with real part c."""
+    return (c,) + (ring.zero,) * (dim - 1)
 
 
-def _scalar(terms, dim: int):
-    """The central element with real part terms."""
-    return (terms,) + ([],) * (dim - 1)
-
-
-def _norm_coeffs(q, table, mul) -> list:
+def _norm_coeffs(q, table, ring) -> list:
     """Coefficients of q conj(q) = Re(q)^2 + Im(q)^2, central elements, for
     a polynomial q over F(sqrt(-1)) given by its complex coefficients,
     constant first.  table is F(sqrt(-1))'s; with the imaginary coordinates
-    empty, only 1 * 1 = 1 is read."""
+    zero, only 1 * 1 = 1 is read."""
     n = len(q)
-    re = [(c[0], []) for c in q]
-    im = [(c[1], []) for c in q]
+    re = [(c[0], ring.zero) for c in q]
+    im = [(c[1], ring.zero) for c in q]
     out = []
     for k in range(2 * n - 1):
         idx = range(max(0, k - n + 1), min(k, n - 1) + 1)
         u = [re[i] for i in idx] + [im[i] for i in idx]
         v = [re[k - i] for i in idx] + [im[k - i] for i in idx]
-        out.append(_dot(u, v, table, mul))
+        out.append(ring.dot(u, v, table))
     return out
 
 
-def _cleared_charpoly(spec: ESpec, A) -> list:
-    """The reduced characteristic polynomial of the cleared matrix A, as
-    central elements of E, constant first (see reduced_charpoly)."""
-    F = spec.field
+def _cleared_charpoly(spec: ESpec, A, ring) -> tuple[list, list]:
+    """(p, imaginary parts): p the reduced characteristic polynomial of the
+    cleared matrix A, as central elements of E, constant first (see
+    reduced_charpoly); over the quaternions, p is read off the charpoly of
+    chi(A), whose imaginary parts must vanish (_require_real)."""
+    table = spec.products
     if spec.kind is EKind.BASE:
-        return _charpoly_commutative(A, spec.products, F)
+        return _charpoly_commutative(A, table, ring), []
     if spec.kind is EKind.COMPLEX:
-        q = _charpoly_commutative(A, spec.products, F)
-        return _norm_coeffs(q, spec.products, F.add_exponents)
-    coeffs = _charpoly_commutative(_chi(A, _negated), complex_spec(F).products, F)
-    if any(c[1] for c in coeffs):
+        return _norm_coeffs(_charpoly_commutative(A, table, ring), table, ring), []
+    coeffs = _charpoly_commutative(_chi(A, ring.neg), complex_spec(spec.field).products, ring)
+    return [_scalar(c[0], ring, spec.dim) for c in coeffs], [c[1] for c in coeffs]
+
+
+def _require_real(imaginary) -> None:
+    if any(imaginary):
         raise NonRealCoefficient("coefficient has a nonzero imaginary part")
-    return [_scalar(c[0], spec.dim) for c in coeffs]
+
+
+def _cayley_hamilton_kernel(spec: ESpec, A, ring) -> tuple:
+    """(imaginary parts, p(A)) for A's reduced charpoly p."""
+    p, imaginary = _cleared_charpoly(spec, A, ring)
+    B = _horner_tail(A, p, spec.products, ring)
+    return imaginary, _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, ring)
+
+
+def _inverse_kernel(spec: ESpec, A, ring) -> tuple:
+    """(imaginary parts, divisor, B') with A^-1 = -B' / divisor: the
+    divisor is p_0 and B' the Horner tail B of the reduced charpoly p, or
+    over F(sqrt(-1)) n(p_0) and B conj(p_0) for p = det(X - A).  B' is
+    empty when the divisor is 0."""
+    table = spec.products
+    if spec.kind is EKind.COMPLEX:
+        p, imaginary = _charpoly_commutative(A, table, ring), []
+        divisor = _norm_coeffs(p[:1], table, ring)[0]
+    else:
+        p, imaginary = _cleared_charpoly(spec, A, ring)
+        divisor = p[0]
+    if not divisor[0]:
+        return imaginary, divisor, []
+    B = _horner_tail(A, p, table, ring)
+    if spec.kind is EKind.COMPLEX:
+        c = (p[0][0], ring.neg(p[0][1]))
+        B = [[ring.dot((x,), (c,), table) for x in r] for r in B]
+    return imaginary, divisor, B
 
 
 def _check_kind(spec: ESpec) -> None:
@@ -365,6 +455,69 @@ def _cleared(M: MatE):
     return d, [elems[i:i + m] for i in range(0, len(elems), m)]
 
 
+# The images pay from Berkowitz on 6 rows (a 3 x 3 quaternion matrix) in at
+# most two variables, measured as CPU time per operation on Hamilton
+# matrices (the grid in CHANGES.md).  On smaller matrices the term lists are
+# as fast or faster; with a third variable an image holds the product of
+# the cap_i + 1 digits, most of them zero, and is 1.6 to 2.5 times slower.
+_IMAGE_MIN_SIZE = 6
+_IMAGE_MAX_VARIABLES = 2
+
+
+def _image_caps(spec: ESpec, A):
+    """The degree caps of the Kronecker images of the cleared matrix A, or
+    None where its term lists are kept.  Images are chosen when Berkowitz
+    runs on at least _IMAGE_MIN_SIZE rows (n, or 2n through chi) and at
+    most _IMAGE_MAX_VARIABLES variables occur in A.  With e_i the largest
+    exponent of x_i in A, every kernel output has degree at most deg e_i
+    in x_i, deg the degree of the reduced charpoly: n over F, and 2n over
+    the quaternions (Berkowitz on chi) and over F(sqrt(-1)), whose norm
+    products and inverse double Berkowitz's n e_i."""
+    n = len(A)
+    if (2 * n if spec.kind is EKind.QUAT else n) < _IMAGE_MIN_SIZE:
+        return None
+    e = spec.field.largest_exponents([c for r in A for x in r for c in x])
+    if sum(map(bool, e)) > _IMAGE_MAX_VARIABLES:
+        return None
+    deg = n if spec.kind is EKind.BASE else 2 * n
+    return [deg * a for a in e]
+
+
+def _run(spec: ESpec, A, kernel):
+    """(kernel(spec, A, ring), element) for the cleared matrix A, with
+    element turning one output coordinate into a field element: on the
+    term lists themselves, or on their Kronecker images where _image_caps
+    chooses them.
+
+    A kernel returns exactly the values that are read back or tested for
+    zero.  The images' width comes from a first run of the kernel on the
+    coordinates' 1-norms, the majorants: each of its outputs bounds the
+    1-norm of the matching output, and so each of its coefficients, and a
+    sign bit above the largest makes every output decode."""
+    F = spec.field
+    caps = _image_caps(spec, A)
+    if caps is None:
+        return kernel(spec, A, _term_ring(F)), F.polynomial
+    width = _largest(kernel(spec, _map_coords(A, _norm1), _MAJORANT)).bit_length() + 1
+    K = Kronecker(caps, width)
+    return kernel(spec, _map_coords(A, K.image), _IMAGE), lambda v: F.polynomial(K.terms(v))
+
+
+def _norm1(terms) -> int:
+    return sum([abs(c) for _, c in terms])
+
+
+def _map_coords(A, f):
+    return [[tuple(map(f, x)) for x in r] for r in A]
+
+
+def _largest(tree) -> int:
+    """The largest int in nested tuples and lists of ints, 0 if none."""
+    if isinstance(tree, int):
+        return tree
+    return max(map(_largest, tree), default=0)
+
+
 def reduced_charpoly(M: MatE) -> PolyX:
     """Reduced characteristic polynomial with coefficients in F.
 
@@ -380,7 +533,9 @@ def reduced_charpoly(M: MatE) -> PolyX:
     """
     d, A = _cleared(M)
     F = M.spec.field
-    coeffs = [F.polynomial(c[0]) for c in _cleared_charpoly(M.spec, A)]
+    (p, imaginary), element = _run(M.spec, A, _cleared_charpoly)
+    _require_real(imaginary)
+    coeffs = [element(c[0]) for c in p]
     if d is not F.one:
         inv = d ** -1
         s = inv
@@ -394,15 +549,27 @@ def reduced_charpoly(M: MatE) -> PolyX:
 def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
     """Whether lam is a right eigenvalue of M (some x != 0 with Mx = x lam).
 
-    The reduced characteristic polynomial p lies in F[X], so p(lam) = 0 iff
-    the minimal polynomial of lam over F divides p: X - lam for central
-    lam, X^2 - trd(lam) X + n(lam) otherwise.  Over F(sqrt(-1)), p is
-    det(X - M) times its conjugate, so the test holds for lam when lam or
-    conj(lam) is an eigenvalue.
+    Over F(sqrt(-1)), which is commutative, that is det(lam - M) = 0,
+    tested as det(X - d M) = 0 at d lam on the cleared d M; lam and
+    conj(lam) are told apart.  Over F and the quaternions the reduced
+    characteristic polynomial p lies in F[X], so p(lam) = 0 iff the
+    minimal polynomial of lam over F divides p: X - lam for central lam,
+    X^2 - trd(lam) X + n(lam) otherwise; the right eigenvalues of a
+    quaternion matrix are closed under similarity, so under conjugation.
     """
     if lam.spec != M.spec:
         raise SpecMismatch("eigenvalue lives over a different algebra")
-    F = M.spec.field
+    spec = M.spec
+    F = spec.field
+    if spec.kind is EKind.COMPLEX:
+        d, A = _cleared(M)
+        q, element = _run(spec, A, lambda spec, A, ring: _charpoly_commutative(
+            A, spec.products, ring))
+        x = lam.scale(d)
+        acc = spec.zero()
+        for c in reversed(q):
+            acc = acc * x + EElement(spec, tuple([element(t) for t in c]))
+        return acc.is_zero
     if lam.is_central():
         q = PolyX(F, [-lam.real_part(), F.one])
     else:
@@ -416,11 +583,8 @@ def cayley_hamilton_check(M: MatE) -> bool:
     Checked as p'(d M) = 0 on the cleared matrix d M, with p' its own
     reduced charpoly, which holds iff p(M) = 0 (p'(X) = d^deg p(X / d))."""
     _, A = _cleared(M)
-    spec = M.spec
-    mul = spec.field.add_exponents
-    p = _cleared_charpoly(spec, A)
-    B = _horner_tail(A, p, spec.products, mul)
-    pA = _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, mul)
+    (imaginary, pA), _ = _run(M.spec, A, _cayley_hamilton_kernel)
+    _require_real(imaginary)
     return not any(any(x) for r in pA for x in r)
 
 

@@ -1,15 +1,18 @@
 """How field elements are stored is private to field.py: no other module
 imports sympy, imports an underscore name from field.py, or reads an
-element's or a field's private attributes.  The other modules reach the
-representation through field.py's public names only, so a change to it is
-made in field.py alone.  And no module imports a name it does not use."""
+element's or a field's private attributes.  So is the digit layout of a
+Kronecker image: no other module reads a Kronecker's private attributes or
+an int's bytes.  The other modules reach the representation through
+field.py's public names only, so a change to it is made in field.py alone.
+And no module imports a name it does not use."""
 
 import ast
 from pathlib import Path
 
 import gaugecones
 
-PRIVATE_ATTRIBUTES = {"_m", "_frac", "_f", "_field", "_ring", "_reciprocal"}
+PRIVATE_ATTRIBUTES = {"_m", "_frac", "_f", "_field", "_ring", "_reciprocal",
+                      "_width", "_strides", "_radices", "_digits", "_split"}
 
 
 def parsed_modules():
@@ -47,6 +50,16 @@ def test_no_private_names_of_field_outside_it():
             elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_ATTRIBUTES:
                 found.append((name, node.lineno, node.attr))
     assert found == []
+
+
+def test_only_field_reads_the_bytes_of_an_int():
+    readers = set()
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("to_bytes", "from_bytes")):
+                readers.add(name)
+    assert readers <= {"field.py"}
 
 
 def test_every_imported_name_is_used():

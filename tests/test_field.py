@@ -15,6 +15,7 @@ from gaugecones.field import (
     FieldError,
     FunctionField,
     GammaVal,
+    Kronecker,
     NegativeValuation,
     NotMonicAfterNormalization,
     OrderingCoset,
@@ -637,3 +638,33 @@ class TestTermListConversions:
             assert all(a for _, a in t)
             assert F.polynomial(t) == d * c
         assert (d is F.one) == all(c._f.denom == 1 for c in cs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_kronecker_images(self, data):
+        """Kronecker.terms inverts Kronecker.image within the caps and the
+        width, at the extreme coefficients and degrees too; a product of
+        images decodes to the product; a digit outside the width raises."""
+        caps = data.draw(st.lists(st.integers(0, 4), max_size=3))
+        width = data.draw(st.integers(1, 12))
+        top = 2 ** (width - 1) - 1
+
+        def poly(degrees, bound):
+            exps = st.tuples(*[st.integers(0, c) for c in degrees])
+            coeffs = st.integers(-bound, bound).filter(bool) if bound else st.nothing()
+            return data.draw(st.dictionaries(exps, coeffs, max_size=6))
+
+        K = Kronecker(caps, width)
+        f = poly(caps, top)
+        assert dict(K.terms(K.image(list(f.items())))) == f
+        g, h = (poly([c // 2 for c in caps], 7) for _ in range(2))
+        gh = {}
+        for e1, c1 in g.items():
+            for e2, c2 in h.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                gh[e] = gh.get(e, 0) + c1 * c2
+        gh = {e: c for e, c in gh.items() if c}
+        K = Kronecker(caps, max(map(abs, gh.values()), default=0).bit_length() + 1)
+        assert dict(K.terms(K.image(list(g.items())) * K.image(list(h.items())))) == gh
+        with pytest.raises(FieldError):
+            Kronecker(caps, width).terms(-(2 ** (width - 1)))

@@ -37,6 +37,7 @@ from gaugecones.matrices import (
     psd_at,
     reduced_charpoly,
 )
+from gaugecones.matrices import _cleared, _image_caps
 
 from test_field import random_element, random_ratfunc
 
@@ -332,6 +333,60 @@ def kernel_matrices(draw):
     return MatE(spec, rows)
 
 
+F1 = FunctionField(["x"])
+F3 = FunctionField(["x", "y", "z"])
+
+# polynomial and Laurent-monomial coordinates over the fields on either side
+# of the image selector; over Q(x, y, z) each matrix gets x y z on its
+# diagonal, so that all three variables occur and the term lists are kept,
+# and the polynomials are sparser, or the oracle would take seconds a matrix
+IMAGE_COORDS = {
+    F1: ["1", "-2", "3*x", "x - 1", "x^2 + 2", "-x/2", "5/x"],
+    ORACLE_F: ["1", "-2", "3*x", "x*y - 1", "y^2 + 2*x", "-x/2", "5/y"],
+    F0: ["1", "-2", "3", "1/2", "-5/3"],
+    F3: ["1", "-2", "3*x", "x - z", "-y/2", "5/z", "y*z"],
+}
+
+
+@st.composite
+def image_matrices(draw):
+    """Matrices on which Berkowitz runs on 6 or 8 rows: Hamilton with n = 3
+    or 4, and base and complex with n = 6, over Q(x), Q(x, y), Q (the
+    Kronecker images) and Q(x, y, z) (the term lists); about two non-zero
+    coordinates a row besides the real part of the diagonal."""
+    F = draw(st.sampled_from(list(IMAGE_COORDS)))
+    spec = draw(st.sampled_from([base_spec(F), complex_spec(F), hamilton_spec(F)]))
+    n = draw(st.integers(3, 4)) if spec.kind is EKind.QUAT else 6
+    table = [F.parse(c) for c in IMAGE_COORDS[F]]
+    sparsity = max(2, n * spec.dim // 2)
+
+    def coord(diagonal_real):
+        if not diagonal_real and draw(st.integers(1, sparsity)) > 1:
+            return F.zero
+        return draw(st.sampled_from(table))
+
+    rows = [[EElement(spec, tuple(coord(i == j and t == 0) for t in range(spec.dim)))
+             for j in range(n)] for i in range(n)]
+    if F is F3:
+        k = draw(st.integers(0, n - 1))
+        rows[k][k] = spec.scalar(F.parse("x*y*z"))
+    return MatE(spec, rows)
+
+
+def assert_kernels_match_oracle(M):
+    """reduced_charpoly, cayley_hamilton_check and MatE.inverse against
+    Berkowitz and Horner on EElements."""
+    assert reduced_charpoly(M) == oracle_reduced_charpoly(M)
+    assert cayley_hamilton_check(M) is oracle_cayley_hamilton(M) is True
+    try:
+        expected = oracle_inverse(M)
+    except Singular:
+        with pytest.raises(Singular):
+            M.inverse()
+        return
+    assert M.inverse() == expected
+
+
 def charpoly_psd(M, P):
     """Reference PSD test by the charpoly sign rule: the eigenvalues of a
     hermitian matrix are real over the real closure, so by Descartes' rule
@@ -529,15 +584,45 @@ class TestReducedCharpoly:
     def test_kernels_match_eelement_oracle(self, M):
         """reduced_charpoly, cayley_hamilton_check and MatE.inverse on the
         cleared polynomials against Berkowitz and Horner on EElements."""
-        assert reduced_charpoly(M) == oracle_reduced_charpoly(M)
-        assert cayley_hamilton_check(M) is oracle_cayley_hamilton(M) is True
-        try:
-            expected = oracle_inverse(M)
-        except Singular:
-            with pytest.raises(Singular):
-                M.inverse()
-            return
-        assert M.inverse() == expected
+        assert_kernels_match_oracle(M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=image_matrices())
+    def test_images_match_eelement_oracle(self, M):
+        """The kernels on both sides of the selector against the oracle:
+        Kronecker images in at most two variables, term lists in three."""
+        caps = _image_caps(M.spec, _cleared(M)[1])
+        assert (caps is None) is (M.spec.field is F3)
+        assert_kernels_match_oracle(M)
+
+    def test_image_coefficient_at_width_boundary(self):
+        """det(X - A) = X^5 (X + c x^2) for c = 2^40 - 1, whose majorant is
+        c itself, so the width is 41 bits and c the largest coefficient it
+        holds.  A is upper triangular and singular."""
+        B = base_spec(F1)
+        c = 2 ** 40 - 1
+        rows = [[F1.zero] * 6 for _ in range(6)]
+        rows[0][0] = F1.parse(f"-{c}*x^2")
+        for i in range(5):
+            rows[i][i + 1] = F1.parse("x - 3")
+        M = MatE.from_scalar_rows(B, rows)
+        assert reduced_charpoly(M).coeffs[5] == F1.parse(f"{c}*x^2")
+        assert_kernels_match_oracle(M)
+
+    def test_image_degree_at_cap(self):
+        """diag(x^3, ..., x^3) with y above the diagonal: the constant term
+        of the reduced charpoly is x^(3 deg), at its cap in x, and a term
+        beyond the cap would alias into y's digits."""
+        for spec, n in ((base_spec(ORACLE_F), 6), (complex_spec(ORACLE_F), 6),
+                        (hamilton_spec(ORACLE_F), 3)):
+            x3, y = ORACLE_F.parse("x^3"), ORACLE_F.parse("y")
+            rows = [[spec.scalar(x3 if i == j else y if j == i + 1 else ORACLE_F.zero)
+                     for j in range(n)] for i in range(n)]
+            M = MatE(spec, rows)
+            deg = n if spec.kind is EKind.BASE else 2 * n
+            assert reduced_charpoly(M).coeffs[0] == x3 ** deg
+            assert_kernels_match_oracle(M)
+            assert _image_caps(spec, _cleared(M)[1]) == [3 * deg, deg]
 
     def test_agrees_with_faddeev_leverrier(self, F2):
         rng = random.Random(40)
@@ -568,11 +653,16 @@ class TestNewtonOnCharpolys:
 
 
 def horner_in_e(M, lam):
-    """p(lam) = 0 evaluated in E by Horner's rule, p the reduced charpoly
-    of M: the reference for is_right_eigenvalue's divisibility test."""
+    """p(lam) = 0 evaluated in E by Horner's rule, the reference for
+    is_right_eigenvalue: p is det(X - M) by berkowitz over F(sqrt(-1)),
+    and the reduced charpoly of M otherwise."""
+    if M.spec.kind is EKind.COMPLEX:
+        coeffs = berkowitz(M)
+    else:
+        coeffs = [M.spec.scalar(c) for c in reduced_charpoly(M).coeffs]
     acc = M.spec.zero()
-    for c in reversed(reduced_charpoly(M).coeffs):
-        acc = acc * lam + M.spec.scalar(c)
+    for c in reversed(coeffs):
+        acc = acc * lam + c
     return acc.is_zero
 
 
@@ -610,6 +700,27 @@ class TestRightEigenvalue:
         M = MatE.diagonal(B, [F2.from_fraction(1), F2.from_fraction(2)])
         assert is_right_eigenvalue(M, B.scalar(2))
         assert not is_right_eigenvalue(M, B.scalar(3))
+
+    def test_complex_tells_conjugates_apart(self, F2):
+        """Over F(sqrt(-1)) the reduced charpoly is det(X - M) times its
+        conjugate, which vanishes at conj(lam) too; the test must not."""
+        C = complex_spec(F2)
+        one, i = C.basis()
+        two = C.scalar(F2.from_fraction(2))
+        assert is_right_eigenvalue(MatE(C, [[i]]), i)
+        assert not is_right_eigenvalue(MatE(C, [[i]]), -i)
+        D = MatE.diagonal(C, [i, two])
+        assert is_right_eigenvalue(D, i)
+        assert is_right_eigenvalue(D, two)
+        assert not is_right_eigenvalue(D, -i)
+        # six rows with a denominator: det(X - d D) on Kronecker images, at d lam
+        x, y = (C.scalar(v) for v in F2.vars())
+        D = MatE.diagonal(C, [i, two, x, y, C.scalar(F2.parse("1/x")), i + one])
+        assert _image_caps(C, _cleared(D)[1]) is not None
+        for lam in (i, two, x, i + one):
+            assert is_right_eigenvalue(D, lam)
+        for lam in (-i, one - i, -x):
+            assert not is_right_eigenvalue(D, lam)
 
     def test_conjugation_closure(self, F2):
         rng = random.Random(37)
