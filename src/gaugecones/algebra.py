@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .field import (
     FunctionField,
     GammaVal,
     OrderingCoset,
-    OrderingSpec,
     RatFunc,
     common_sign_orderings,
 )
@@ -34,10 +32,6 @@ class SpecMismatch(FieldError):
 
 class IndeterminateNorm(FieldError):
     """Norm-term valuations may collide; v_E is not determined."""
-
-
-class LengthMismatch(FieldError):
-    """Diagonal forms of different ranks compared."""
 
 
 class EKind(Enum):
@@ -416,18 +410,3 @@ def trace_form(spec: AlgebraSpec) -> DiagForm:
         return DiagForm(tuple((spec.apply(q) * q).trd() for q in spec.espec.basis()))
     norms = [(q.conj() * q).trd() for q in spec.espec.basis()]
     return DiagForm(tuple(r * t for t in norms for row in spec.ratios for r in row))
-
-
-def same_square_class_form(d1: DiagForm, d2: DiagForm, P: OrderingSpec) -> bool:
-    """Whether the forms match entrywise up to squares, at the ordering P.
-
-    At a fixed compatible ordering, an entry is determined up to squares by
-    its sign at P and its valuation class mod twice the value group.
-    """
-    if len(d1) != len(d2):
-        raise LengthMismatch(f"ranks {len(d1)} and {len(d2)}")
-
-    def classes(d: DiagForm) -> Counter:
-        return Counter((f.sign_at(P), f.val().mod_group(2)) for f in d.entries)
-
-    return classes(d1) == classes(d2)

@@ -348,10 +348,6 @@ class LiftReport:
         return tuple(self.lifting)
 
     @property
-    def harrison_set(self) -> tuple[OrderingSpec, ...]:
-        return tuple(self.harrison)
-
-    @property
     def harrison_matches(self) -> bool:
         return self.lifting == self.harrison
 

@@ -34,23 +34,19 @@ or, for a fraction, one walk for the lex-minimal terms of numerator and
 denominator.  The sign is the Baer-Krull formula
 sign_P(f) = sgn(lc f) * prod_i eta_i^(v(f)_i).
 
-The matrix kernels compute on polynomials of Z[x_1,...,x_r] held as term
-lists: [(exponents, integer), ...] with no zero coefficient, in any order,
-as sympy's PolyElement.items() gives them, and the empty list for zero.
-FunctionField.add_exponents adds two exponent tuples, and (0,) * r is the
-exponent of 1.  Two conversions are the only way between field elements
-and term lists, so the kernels never see how an element is stored:
-FunctionField.clear_denominators(cs) gives (d, the term lists of d c for c
-in cs) with d the lcm of the denominators, and FunctionField.polynomial
-gives the element with a term list.  rational_roots factors on them too.
-
-Where few variables occur, a term list is better held as its Kronecker
-image, one int: x_i -> 2^(width s_i) is a ring homomorphism Z[x] -> Z, so
-a kernel's sums and products of polynomials become sums and products of
-ints, and only its outputs are read back.  The digit layout is private to
-Kronecker: FunctionField.largest_exponents gives the exponents that set
-its degree caps, Kronecker.image encodes a term list, and Kronecker.terms
-decodes an int whose polynomial lies within the caps and the width.
+The matrix kernels compute on polynomials of Z[x_1,...,x_r] and reach
+field elements through two conversions only, so they never see how an
+element is stored: FunctionField.clear_denominators(cs) gives (d, the term
+lists of d c for c in cs) with d the lcm of the denominators, and
+FunctionField.polynomial gives the element with a term list.  A term list
+is [(exponents, integer), ...] with no zero coefficient, in any order, as
+sympy's PolyElement.items() gives it, and [] for zero; rational_roots
+factors on term lists too.  Within the kernels each term is keyed by one
+int instead, so that a product of two terms adds two keys, and where few
+variables occur a keyed list is held as its Kronecker image, one int.  The
+key layout is private to Kronecker, built from degree caps that
+FunctionField.largest_exponents sets: pack and unpack convert between term
+lists and keyed lists, image and split between keyed lists and images.
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ import functools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -365,7 +362,6 @@ class FunctionField:
         built = _sympy_field(names, ZZ)
         self._field = built[0]
         self._ring = self._field.ring
-        self.add_exponents = self._ring.monomial_mul
         self.zero = RatFunc(self, self._field.zero)
         self.one = RatFunc(self, self._field.one)
 
@@ -404,7 +400,7 @@ class FunctionField:
         residue blocks a sympy fraction per coordinate: without it a 1 x 1
         block over Q took about three times as long."""
         ring = self._ring
-        mul = self.add_exponents
+        mul = ring.monomial_mul
         triples = [c._m for c in cs if c._m is not None]
         others = [c._frac.denom for c in cs if c._m is None and not _is_one(c._frac.denom)]
         k = math.lcm(*[m[2] for m in triples])
@@ -468,70 +464,66 @@ class FunctionField:
 
 class Kronecker:
     """Kronecker's substitution (Kronecker 1882; Schoenhage 1982) for the
-    polynomials of Z[x_1,...,x_r] of degree at most caps[i] in x_i whose
-    coefficients lie strictly between -2^(width-1) and 2^(width-1).
+    polynomials of Z[x_1,...,x_r] of degree at most caps[i] in x_i.
 
-    The image of a term list is the one int sum of c 2^(width key(e)), with
-    key(e) = sum of e_i s_i, s_1 = 1 and s_(i+1) = s_i (caps[i] + 1): the
-    exponents are the digits of the key in mixed radix, and the
-    coefficients the width-bit digits of the image, taken balanced.  As
-    x_i -> 2^(width s_i) is a ring homomorphism, sums and products of images
-    are the images of sums and products, whatever the degrees and
-    coefficients along the way; only a value that is read back, by terms or
-    by a test for zero, must lie within the caps and the width.  Then it
-    decodes uniquely, and its image is 0 iff it is 0.
+    The term c x^e has the key sum of e_i s_i, with s_r = 1 and s_i =
+    s_(i+1) (caps[i+1] + 1): within the caps the exponents are the key's
+    mixed-radix digits, x_1 the most significant, so keys order terms
+    lexicographically.  x_i -> t^(s_i) is a ring homomorphism Z[x] -> Z[t],
+    so sums and products of keyed lists, keys adding in a product, are
+    exact whatever the degrees along the way; only a value read back, by
+    unpack or by a test for zero, must lie within the caps, where keys are
+    unique.  The image of a keyed list at width w is its value at t = 2^w;
+    split reads it back when every coefficient lies strictly between
+    -2^(w-1) and 2^(w-1), the digits taken balanced.
     """
 
-    __slots__ = ("_width", "_strides", "_radices", "_digits")
+    __slots__ = ("_strides", "_radices", "_digits")
 
-    def __init__(self, caps: Sequence[int], width: int):
-        self._width = width
+    def __init__(self, caps: Sequence[int]):
         self._radices = [c + 1 for c in caps]
-        self._strides = []
-        self._digits = 1
-        for m in self._radices:
-            self._strides.append(self._digits)
-            self._digits *= m
+        self._strides = [math.prod(self._radices[i + 1:]) for i in range(len(caps))]
+        self._digits = math.prod(self._radices)
 
-    def image(self, terms) -> int:
-        """The image of a term list within the caps."""
-        w, strides = self._width, self._strides
-        return sum([c << w * sum(map(operator.mul, e, strides)) for e, c in terms])
+    def pack(self, terms) -> list:
+        """The keyed list of a term list."""
+        strides = self._strides
+        return [(sum(map(operator.mul, e, strides)), c) for e, c in terms]
 
-    def terms(self, value: int) -> list:
-        """The term list whose image is value, for a value that lies within
-        the caps and the width.  Halving by balanced remainders reads the
-        non-zero digits without a pass over the zero ones."""
+    def unpack(self, keyed) -> list:
+        """The term list of a keyed list within the caps."""
+        layout = list(zip(self._strides, self._radices))
+        return [(tuple([key // s % m for s, m in layout]), c) for key, c in keyed]
+
+    def image(self, keyed, width: int) -> int:
+        """The image of a keyed list at the given width."""
+        return sum([c << width * key for key, c in keyed])
+
+    def split(self, value: int, width: int) -> list:
+        """The keyed list whose image at width is value, for a value that
+        lies within the caps and the width.  Halving by balanced remainders
+        reads the non-zero digits without a pass over the zero ones: each
+        pending (value, low, count) is the image of digits low, ...,
+        low + count - 1, shifted down by low digits."""
         found = []
-        self._split(value, 0, self._digits, found)
-        out = []
-        for key, c in found:
-            exps = []
-            for m in self._radices:
-                key, e = divmod(key, m)
-                exps.append(e)
-            out.append((tuple(exps), c))
-        return out
-
-    def _split(self, value: int, low: int, count: int, found: list) -> None:
-        """Append (key, digit) for the non-zero digits of value, the image of
-        digits low, ..., low + count - 1 shifted down by low digits."""
-        if not value:
-            return
-        w = self._width
-        if count == 1:
-            if abs(value) >> (w - 1):
-                raise FieldError("Kronecker image exceeds its width")
-            found.append((low, value))
-            return
-        half = count >> 1
-        shift = w * half
-        lo, hi = value & ((1 << shift) - 1), value >> shift
-        if lo >> (shift - 1):
-            lo -= 1 << shift
-            hi += 1
-        self._split(lo, low, half, found)
-        self._split(hi, low + half, count - half, found)
+        pending = [(value, 0, self._digits)]
+        while pending:
+            value, low, count = pending.pop()
+            if not value:
+                continue
+            if count == 1:
+                if abs(value) >> (width - 1):
+                    raise FieldError("Kronecker image exceeds its width")
+                found.append((low, value))
+                continue
+            half = count >> 1
+            shift = width * half
+            lo, hi = value & ((1 << shift) - 1), value >> shift
+            if lo >> (shift - 1):
+                lo -= 1 << shift
+                hi += 1
+            pending += [(lo, low, half), (hi, low + half, count - half)]
+        return found
 
 
 def _is_one(poly) -> bool:
@@ -974,6 +966,10 @@ MAX_EXPONENT = 100
 # that sum to the 4th (715 terms each)
 MAX_TERMS = 10_000
 
+# The deepest nesting of parentheses the parser accepts: each level takes
+# four frames, so a few hundred would exhaust Python's recursion limit
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^]))")
 
 
@@ -988,7 +984,9 @@ class _Parser:
     '**' is read as '^', so the str() of an element parses back to it.
     Each power, product, quotient and sum is counted before it is computed
     and refused at its operator (at the exponent for a power) when its
-    numerator or denominator could have more than MAX_TERMS terms.
+    numerator or denominator could have more than MAX_TERMS terms.  A '('
+    nested more than MAX_NESTING deep is refused, and so is an integer
+    literal longer than Python converts (sys.get_int_max_str_digits).
     """
 
     def __init__(self, field: FunctionField, src: str):
@@ -1013,6 +1011,7 @@ class _Parser:
                 self.tokens.append(("op", op, m.start(3)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.src))
@@ -1092,6 +1091,9 @@ class _Parser:
     def _base(self) -> RatFunc:
         kind, text, pos = self._next()
         if kind == "int":
+            limit = sys.get_int_max_str_digits()
+            if limit and len(text) > limit:
+                raise ExprSyntaxError(f"integer literal has more than {limit} digits", pos)
             return self.field.from_fraction(int(text))
         if kind == "name":
             try:
@@ -1100,7 +1102,11 @@ class _Parser:
                 raise UnknownVariable(f"unknown variable {text!r}") from None
             return self.field.var(idx)
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             v = self._expr()
+            self.depth -= 1
             kind, text, pos = self._next()
             if text != ")":
                 raise ExprSyntaxError("expected ')'", pos)

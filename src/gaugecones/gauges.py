@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .field import (
     FieldError,
@@ -250,16 +250,3 @@ def in_st(a: MatE, G: GaugeContext) -> bool:
         raise Singular("matrix is not invertible")
     vals = newton_root_valuations(p)
     return all(v == vals[0] for v in vals)
-
-
-def min_gauge_matrix(M: MatE, entry_gauge: Callable[[EElement], GammaVal]) -> GammaVal:
-    """The entrywise-minimum gauge on matrices over a gauged algebra."""
-    best = GammaVal.infinity()
-    for row in M.rows:
-        for x in row:
-            if x.is_zero:
-                continue
-            g = entry_gauge(x)
-            if g < best:
-                best = g
-    return best

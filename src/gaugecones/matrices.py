@@ -11,24 +11,25 @@ division-free kernels on the matrix with its denominators cleared, d M with
 d the lcm of the coordinate denominators, whose coordinates lie in
 Z[x_1,...,x_r]: Berkowitz's recursion for the characteristic polynomial and
 Horner's rule for the Cayley-Hamilton tail, each sum of products in E one
-dot product.  The kernels are written once over the representation of the
-coordinates.  Where Berkowitz runs on at least 6 rows (n, or 2n for a
-quaternion matrix) and at most two variables occur in d M, each coordinate
-is its Kronecker image, one int (field.Kronecker), and a dot product is a
-sum of int products; elsewhere the coordinates stay term lists, and a dot
-product adds each term product into one dict per output coordinate.  The
-images' width comes from a first run of the same kernel on majorants: the
-coordinates' 1-norms, with every structure-constant sign taken as + and
-negation as the identity, which bound the 1-norm, and so the coefficients,
-of every output.  Field elements are built from the outputs only: the
-charpoly of M by one rescale by powers of d, the inverse by one scalar
-division.  The kernels reach field elements only through
-FunctionField.clear_denominators and FunctionField.polynomial.
+dot product.  Each coordinate is keyed once (field.Kronecker, whose
+degree caps bound every output), and the kernels are written once over two
+representations of the keyed coordinates.  Where Berkowitz runs on at
+least 6 rows (n, or 2n for a quaternion matrix) and at most two variables
+occur in d M, each coordinate is its Kronecker image, one int, and a dot
+product is a sum of int products; elsewhere the coordinates stay keyed
+lists, and a dot product adds each term product, keyed by the sum of two
+keys, into one dict per output coordinate.  The images' width comes from a
+first run of the same kernel on majorants: the coordinates' 1-norms, with
+every structure-constant sign taken as + and negation as the identity,
+which bound the 1-norm, and so the coefficients, of every output.  Field
+elements are built from the outputs only: the charpoly of M by one rescale
+by powers of d, the inverse by one scalar division.  The kernels reach
+field elements only through FunctionField.clear_denominators and
+FunctionField.polynomial.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Callable, NamedTuple, Sequence
 
@@ -219,13 +220,13 @@ def _chi(A, neg):
     return top + bot
 
 
-# The kernels below run on a matrix with its denominators cleared, in one
-# of three representations of its coordinates, each a _Ring: the term lists
-# of field.py's module docstring, their Kronecker images (field.Kronecker),
-# and majorants, ints that bound the coordinates' 1-norms.  An element of E
-# is the tuple of its coordinates, and a matrix a sequence of rows of
-# elements.  The kernels only add and multiply, so no RatFunc is built
-# before the result; _run picks the representation and reads results back.
+# The kernels below run on a matrix with its denominators cleared and its
+# coordinates keyed (field.Kronecker), in one of three representations, each
+# a _Ring: keyed lists, their Kronecker images, and majorants, ints that
+# bound the coordinates' 1-norms.  An element of E is the tuple of its
+# coordinates, and a matrix a sequence of rows of elements.  The kernels
+# only add and multiply, so no RatFunc is built before the result; _run
+# picks the representation and reads results back.
 
 
 class _Ring(NamedTuple):
@@ -241,11 +242,11 @@ class _Ring(NamedTuple):
     neg: Callable
 
 
-def _dot(u, v, table, init=None, neg=False, *, mul):
-    """dot on term lists.  Every term product of every coordinate pair goes
-    straight into one dict per output coordinate, with the sign of its
-    structure constant: no product polynomial is built and no partial sum
-    is copied.  mul adds two exponent tuples (FunctionField.add_exponents)."""
+def _dot(u, v, table, init=None, neg=False):
+    """dot on keyed lists.  Every term product of every coordinate pair goes
+    straight into one dict per output coordinate, keyed by the sum of the
+    two keys, with the sign of its structure constant: no product
+    polynomial is built and no partial sum is copied."""
     acc = [dict(xs) for xs in init] if init is not None else [{} for _ in table]
     for x, y in zip(u, v):
         for i, xs in enumerate(x):
@@ -263,7 +264,7 @@ def _dot(u, v, table, init=None, neg=False, *, mul):
                     if flip:
                         c1 = -c1
                     for e2, c2 in ys:
-                        e = mul(e1, e2)
+                        e = e1 + e2
                         out[e] = get(e, 0) + c1 * c2
     return tuple([[(e, c) for e, c in out.items() if c] for out in acc])
 
@@ -302,17 +303,9 @@ def _dot_majorant(u, v, table, init=None, neg=False):
     return tuple(acc)
 
 
+_KEYED = _Ring(_dot, [], [(0, 1)], lambda keyed: [(k, -c) for k, c in keyed])
 _IMAGE = _Ring(_dot_image, 0, 1, operator.neg)
 _MAJORANT = _Ring(_dot_majorant, 0, 1, operator.pos)
-
-
-def _term_ring(F) -> _Ring:
-    return _Ring(functools.partial(_dot, mul=F.add_exponents), [], [((0,) * F.r, 1)],
-                 _negated)
-
-
-def _negated(terms):
-    return [(e, -c) for e, c in terms]
 
 
 def _charpoly_commutative(A, table, ring) -> list:
@@ -457,50 +450,51 @@ def _cleared(M: MatE):
 
 # The images pay from Berkowitz on 6 rows (a 3 x 3 quaternion matrix) in at
 # most two variables, measured as CPU time per operation on Hamilton
-# matrices (the grid in CHANGES.md).  On smaller matrices the term lists are
+# matrices (the grid in CHANGES.md).  On smaller matrices the keyed lists are
 # as fast or faster; with a third variable an image holds the product of
 # the cap_i + 1 digits, most of them zero, and is 1.6 to 2.5 times slower.
 _IMAGE_MIN_SIZE = 6
 _IMAGE_MAX_VARIABLES = 2
 
 
-def _image_caps(spec: ESpec, A):
-    """The degree caps of the Kronecker images of the cleared matrix A, or
-    None where its term lists are kept.  Images are chosen when Berkowitz
-    runs on at least _IMAGE_MIN_SIZE rows (n, or 2n through chi) and at
-    most _IMAGE_MAX_VARIABLES variables occur in A.  With e_i the largest
-    exponent of x_i in A, every kernel output has degree at most deg e_i
-    in x_i, deg the degree of the reduced charpoly: n over F, and 2n over
-    the quaternions (Berkowitz on chi) and over F(sqrt(-1)), whose norm
-    products and inverse double Berkowitz's n e_i."""
+def _caps(spec: ESpec, A):
+    """(caps, images) for the cleared matrix A: the degree caps of its keys,
+    and whether its coordinates are held as Kronecker images, which is when
+    Berkowitz runs on at least _IMAGE_MIN_SIZE rows (n, or 2n through chi)
+    and at most _IMAGE_MAX_VARIABLES variables occur in A.  With e_i the
+    largest exponent of x_i in A, every kernel output has degree at most
+    deg e_i in x_i, deg the degree of the reduced charpoly: n over F, and
+    2n over the quaternions (Berkowitz on chi) and over F(sqrt(-1)), whose
+    norm products and inverse double Berkowitz's n e_i."""
     n = len(A)
-    if (2 * n if spec.kind is EKind.QUAT else n) < _IMAGE_MIN_SIZE:
-        return None
     e = spec.field.largest_exponents([c for r in A for x in r for c in x])
-    if sum(map(bool, e)) > _IMAGE_MAX_VARIABLES:
-        return None
     deg = n if spec.kind is EKind.BASE else 2 * n
-    return [deg * a for a in e]
+    images = ((2 * n if spec.kind is EKind.QUAT else n) >= _IMAGE_MIN_SIZE
+              and sum(map(bool, e)) <= _IMAGE_MAX_VARIABLES)
+    return [deg * a for a in e], images
 
 
 def _run(spec: ESpec, A, kernel):
     """(kernel(spec, A, ring), element) for the cleared matrix A, with
-    element turning one output coordinate into a field element: on the
-    term lists themselves, or on their Kronecker images where _image_caps
-    chooses them.
+    element turning one output coordinate into a field element: A's
+    coordinates are keyed once, and the kernel runs on the keyed lists or,
+    where _caps chooses them, on their Kronecker images.
 
     A kernel returns exactly the values that are read back or tested for
-    zero.  The images' width comes from a first run of the kernel on the
-    coordinates' 1-norms, the majorants: each of its outputs bounds the
-    1-norm of the matching output, and so each of its coefficients, and a
-    sign bit above the largest makes every output decode."""
+    zero, and these lie within the caps.  The images' width comes from a
+    first run of the kernel on the coordinates' 1-norms, the majorants:
+    each of its outputs bounds the 1-norm of the matching output, and so
+    each of its coefficients, and a sign bit above the largest makes every
+    output decode."""
     F = spec.field
-    caps = _image_caps(spec, A)
-    if caps is None:
-        return kernel(spec, A, _term_ring(F)), F.polynomial
+    caps, images = _caps(spec, A)
+    K = Kronecker(caps)
+    A = _map_coords(A, K.pack)
+    if not images:
+        return kernel(spec, A, _KEYED), lambda v: F.polynomial(K.unpack(v))
     width = _largest(kernel(spec, _map_coords(A, _norm1), _MAJORANT)).bit_length() + 1
-    K = Kronecker(caps, width)
-    return kernel(spec, _map_coords(A, K.image), _IMAGE), lambda v: F.polynomial(K.terms(v))
+    A = _map_coords(A, lambda keyed: K.image(keyed, width))
+    return kernel(spec, A, _IMAGE), lambda v: F.polynomial(K.unpack(K.split(v, width)))
 
 
 def _norm1(terms) -> int:

@@ -28,7 +28,6 @@ from gaugecones.algebra import (
     base_spec,
     complex_spec,
     hamilton_spec,
-    same_square_class_form,
     trace_form,
 )
 from gaugecones.matrices import (
@@ -58,6 +57,8 @@ from gaugecones.cones import (
     wadth_check,
 )
 from gaugecones.cli import scenario_m6_index_example
+
+from test_algebra import same_square_class_form
 
 
 @contextmanager

@@ -1,18 +1,20 @@
 """How field elements are stored is private to field.py: no other module
 imports sympy, imports an underscore name from field.py, or reads an
-element's or a field's private attributes.  So is the digit layout of a
-Kronecker image: no other module reads a Kronecker's private attributes or
-an int's bytes.  The other modules reach the representation through
-field.py's public names only, so a change to it is made in field.py alone.
-And no module imports a name it does not use."""
+element's or a field's private attributes.  So is the key layout of the
+keyed lists and Kronecker images: no other module reads a Kronecker's
+private attributes or an int's bytes.  The other modules reach the representation through
+field.py's public names only, so a change to it is made in field.py alone;
+a field's public attributes hand out no sympy object.  And no module
+imports a name it does not use."""
 
 import ast
 from pathlib import Path
 
 import gaugecones
+from gaugecones.field import FunctionField
 
 PRIVATE_ATTRIBUTES = {"_m", "_frac", "_f", "_field", "_ring", "_reciprocal",
-                      "_width", "_strides", "_radices", "_digits", "_split"}
+                      "_strides", "_radices", "_digits"}
 
 
 def parsed_modules():
@@ -50,6 +52,17 @@ def test_no_private_names_of_field_outside_it():
             elif isinstance(node, ast.Attribute) and node.attr in PRIVATE_ATTRIBUTES:
                 found.append((name, node.lineno, node.attr))
     assert found == []
+
+
+def test_no_public_attribute_of_a_field_is_sympy():
+    """A FunctionField's public attributes are plain data and gaugecones
+    objects.  A callable is refused too: the monomial operations sympy
+    generates for a ring are functions that name no module, and would hand
+    out sympy's exponent tuples."""
+    F = FunctionField(["x", "y"])
+    leaks = [name for name, value in vars(F).items() if not name.startswith("_") and (
+        callable(value) or type(value).__module__.split(".")[0] not in ("builtins", "gaugecones"))]
+    assert leaks == []
 
 
 def test_only_field_reads_the_bytes_of_an_int():

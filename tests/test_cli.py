@@ -1,12 +1,13 @@
 """Tests for configuration parsing, report emission, determinism, and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from gaugecones import cli
-from gaugecones.field import MAX_EXPONENT, MAX_TERMS, FieldError, RatFunc
+from gaugecones.field import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, FieldError, RatFunc
 from gaugecones.matrices import NonRealCoefficient
 from gaugecones.cli import (
     ConfigError,
@@ -111,6 +112,11 @@ class TestMalformedConfig:
              "unexpected end of expression (at position 0)"),
             ({"algebra": {"variant": "matrix", "form": ["1", "0"]}}, "algebra",
              "form entries must be invertible"),
+            ({"algebra": {"variant": "matrix", "form": ["1", "(" * 400 + "x" + ")" * 400]}},
+             "algebra", f"nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"),
+            ({"algebra": {"variant": "matrix",
+                          "form": ["1", "x + " + "1" * (sys.get_int_max_str_digits() + 1)]}},
+             "algebra", "integer literal has more than"),
             ({"algebra": {"variant": "quatdiv", "a": "0", "b": "y"}}, "algebra",
              "quaternion parameters must be nonzero"),
         ],
@@ -118,7 +124,8 @@ class TestMalformedConfig:
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
-             "kind-list", "form-entry-empty", "form-entry-zero", "quatdiv-a-zero"],
+             "kind-list", "form-entry-empty", "form-entry-zero", "form-entry-nested",
+             "form-entry-long-literal", "quatdiv-a-zero"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         self.check_exit_2(tmp_path, capsys, dict(BASE_DOC, **patch), location, message)

@@ -403,7 +403,7 @@ class TestSignSystemOracle:
         gens = report.harrison_generators
         harrison = [] if 0 in report.epsilons else [
             P for P in orderings if shared_sign(P, gens)]
-        assert report.harrison_set == tuple(harrison)
+        assert tuple(report.harrison) == tuple(harrison)
         assert report.harrison_matches == (harrison == expected)
 
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gaugecones.field import (
     INF,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_TERMS,
     ExprSyntaxError,
     FieldError,
@@ -398,6 +400,20 @@ class TestParser:
                 F2.parse(src)
             assert e.value.position == position
 
+    def test_nesting_bound(self, F2):
+        x, _ = F2.vars()
+        assert F2.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_NESTING}") as e:
+            F2.parse("x + " + "(" * 400 + "x" + ")" * 400)
+        assert e.value.position == 4 + MAX_NESTING
+
+    def test_integer_literal_bound(self, F2):
+        limit = sys.get_int_max_str_digits()
+        assert F2.parse("0" * limit) == F2.zero
+        with pytest.raises(ExprSyntaxError, match=f"more than {limit} digits") as e:
+            F2.parse("x + " + "1" * (limit + 1))
+        assert e.value.position == 4
+
     def test_power_term_bound(self):
         F = FunctionField(["x", "y", "z"])
         # (1+x+y)^60 has C(62, 2) = 1,891 terms, within the bound
@@ -642,9 +658,11 @@ class TestTermListConversions:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_kronecker_images(self, data):
-        """Kronecker.terms inverts Kronecker.image within the caps and the
-        width, at the extreme coefficients and degrees too; a product of
-        images decodes to the product; a digit outside the width raises."""
+        """unpack(split(image(pack(f)))) is f within the caps and the width,
+        at the extreme coefficients and degrees too; keys order terms
+        lexicographically; a product of images, and a keyed product, whose
+        keys add, read back as the product; a digit outside the width
+        raises."""
         caps = data.draw(st.lists(st.integers(0, 4), max_size=3))
         width = data.draw(st.integers(1, 12))
         top = 2 ** (width - 1) - 1
@@ -654,9 +672,12 @@ class TestTermListConversions:
             coeffs = st.integers(-bound, bound).filter(bool) if bound else st.nothing()
             return data.draw(st.dictionaries(exps, coeffs, max_size=6))
 
-        K = Kronecker(caps, width)
+        K = Kronecker(caps)
         f = poly(caps, top)
-        assert dict(K.terms(K.image(list(f.items())))) == f
+        keyed = K.pack(list(f.items()))
+        keys = [k for k, _ in K.pack([(e, 1) for e in sorted(f)])]
+        assert keys == sorted(set(keys))
+        assert dict(K.unpack(K.split(K.image(keyed, width), width))) == f
         g, h = (poly([c // 2 for c in caps], 7) for _ in range(2))
         gh = {}
         for e1, c1 in g.items():
@@ -664,7 +685,13 @@ class TestTermListConversions:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 gh[e] = gh.get(e, 0) + c1 * c2
         gh = {e: c for e, c in gh.items() if c}
-        K = Kronecker(caps, max(map(abs, gh.values()), default=0).bit_length() + 1)
-        assert dict(K.terms(K.image(list(g.items())) * K.image(list(h.items())))) == gh
+        kg, kh = K.pack(list(g.items())), K.pack(list(h.items()))
+        kgh = {}
+        for k1, c1 in kg:
+            for k2, c2 in kh:
+                kgh[k1 + k2] = kgh.get(k1 + k2, 0) + c1 * c2
+        assert dict(K.unpack([(k, c) for k, c in kgh.items() if c])) == gh
+        w = max(map(abs, gh.values()), default=0).bit_length() + 1
+        assert dict(K.unpack(K.split(K.image(kg, w) * K.image(kh, w), w))) == gh
         with pytest.raises(FieldError):
-            Kronecker(caps, width).terms(-(2 ** (width - 1)))
+            K.split(-(2 ** (width - 1)), width)

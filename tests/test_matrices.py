@@ -37,7 +37,7 @@ from gaugecones.matrices import (
     psd_at,
     reduced_charpoly,
 )
-from gaugecones.matrices import _cleared, _image_caps
+from gaugecones.matrices import _caps, _cleared
 
 from test_field import random_element, random_ratfunc
 
@@ -338,7 +338,7 @@ F3 = FunctionField(["x", "y", "z"])
 
 # polynomial and Laurent-monomial coordinates over the fields on either side
 # of the image selector; over Q(x, y, z) each matrix gets x y z on its
-# diagonal, so that all three variables occur and the term lists are kept,
+# diagonal, so that all three variables occur and the keyed lists are kept,
 # and the polynomials are sparser, or the oracle would take seconds a matrix
 IMAGE_COORDS = {
     F1: ["1", "-2", "3*x", "x - 1", "x^2 + 2", "-x/2", "5/x"],
@@ -352,7 +352,7 @@ IMAGE_COORDS = {
 def image_matrices(draw):
     """Matrices on which Berkowitz runs on 6 or 8 rows: Hamilton with n = 3
     or 4, and base and complex with n = 6, over Q(x), Q(x, y), Q (the
-    Kronecker images) and Q(x, y, z) (the term lists); about two non-zero
+    Kronecker images) and Q(x, y, z) (the keyed lists); about two non-zero
     coordinates a row besides the real part of the diagonal."""
     F = draw(st.sampled_from(list(IMAGE_COORDS)))
     spec = draw(st.sampled_from([base_spec(F), complex_spec(F), hamilton_spec(F)]))
@@ -590,9 +590,9 @@ class TestReducedCharpoly:
     @given(M=image_matrices())
     def test_images_match_eelement_oracle(self, M):
         """The kernels on both sides of the selector against the oracle:
-        Kronecker images in at most two variables, term lists in three."""
-        caps = _image_caps(M.spec, _cleared(M)[1])
-        assert (caps is None) is (M.spec.field is F3)
+        Kronecker images in at most two variables, keyed lists in three."""
+        _, images = _caps(M.spec, _cleared(M)[1])
+        assert images is not (M.spec.field is F3)
         assert_kernels_match_oracle(M)
 
     def test_image_coefficient_at_width_boundary(self):
@@ -622,7 +622,27 @@ class TestReducedCharpoly:
             deg = n if spec.kind is EKind.BASE else 2 * n
             assert reduced_charpoly(M).coeffs[0] == x3 ** deg
             assert_kernels_match_oracle(M)
-            assert _image_caps(spec, _cleared(M)[1]) == [3 * deg, deg]
+            assert _caps(spec, _cleared(M)[1]) == ([3 * deg, deg], True)
+
+    def test_keyed_degree_at_cap(self):
+        """Hamilton n = 2 and 3 in three and six variables, on keyed lists:
+        upper triangular, with x_1 x_2^2 x_3^3 x_4 ... on the diagonal and
+        x_r j above it.  The constant term of the reduced charpoly, and the
+        divisor of the inverse, is the diagonal to the power deg = 2n, at the
+        cap of every variable; with any cap one lower, its exponent would
+        decode as 0 or carry into the next variable's."""
+        for F in (F3, FunctionField([f"x{i}" for i in range(6)])):
+            H = hamilton_spec(F)
+            xs = F.vars()
+            exps = [i % 3 + 1 for i in range(F.r)]
+            d = F.monomial(exps)
+            j = H.basis()[2].scale(xs[-1])
+            for n in (2, 3):
+                M = MatE(H, [[H.scalar(d) if a == b else j if b == a + 1 else H.zero()
+                              for b in range(n)] for a in range(n)])
+                assert reduced_charpoly(M).coeffs[0] == d ** (2 * n)
+                assert _caps(H, _cleared(M)[1]) == ([2 * n * e for e in exps], False)
+                assert_kernels_match_oracle(M)
 
     def test_agrees_with_faddeev_leverrier(self, F2):
         rng = random.Random(40)
@@ -716,7 +736,7 @@ class TestRightEigenvalue:
         # six rows with a denominator: det(X - d D) on Kronecker images, at d lam
         x, y = (C.scalar(v) for v in F2.vars())
         D = MatE.diagonal(C, [i, two, x, y, C.scalar(F2.parse("1/x")), i + one])
-        assert _image_caps(C, _cleared(D)[1]) is not None
+        assert _caps(C, _cleared(D)[1])[1]
         for lam in (i, two, x, i + one):
             assert is_right_eigenvalue(D, lam)
         for lam in (-i, one - i, -x):
