@@ -338,6 +338,12 @@ class HermContext:
         from .gauges import residue_decomposition  # gauges builds on this module
         return residue_decomposition(self)
 
+    @functools.cached_property
+    def twist(self):
+        """The twisted frame of h (see gauges.twist), built once per form."""
+        from .gauges import twist
+        return twist(self)
+
     @property
     def n(self) -> int:
         return len(self.e)

@@ -6,15 +6,18 @@ This module computes gauge values, the gauge ring and ideal, the value set as
 a union of cosets of the base value group, the residue algebra decomposition
 with its residue forms, eigenvalue valuations, and the stable subgroup test
 w(a^{-1}) = -w(a).  The adjoint involution itself is a module function, as
-it needs only the form, not its definiteness.
+it needs only the form, not its definiteness.  The property suites of the
+cones module read gauge values in the twisted frame of a form (Twist,
+twisted_gauge_value).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import (
     FieldError,
@@ -25,7 +28,7 @@ from .field import (
     newton_root_valuations,
 )
 from .algebra import EElement, EKind, ESpec, HermContext, hamilton_spec, v_E
-from .matrices import DimensionMismatch, MatE, Singular, reduced_charpoly
+from .matrices import DimensionMismatch, KeyedMat, MatE, Singular, reduced_charpoly
 
 
 class IndefiniteForm(FieldError):
@@ -127,6 +130,44 @@ def gauge_value(a: MatE, G: GaugeContext) -> GammaVal:
             if cand < best:
                 best = cand
     return best
+
+
+class Twist(NamedTuple):
+    """The twisted frame t(a) = diag(e') a of a form e, with e' = d^2 e and d
+    the lcm of e's denominators (FunctionField.clear_denominators): one is
+    t(1) = diag(e'), and shifts[i][j] the exponents of v(e'_i) + v(e'_j)."""
+
+    one: KeyedMat
+    shifts: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def twist(ctx: HermContext) -> Twist:
+    """The twisted frame of ctx's form; HermContext.twist holds it."""
+    F = ctx.field
+    d, _ = F.clear_denominators(ctx.e)
+    e2 = [d * d * f for f in ctx.e]
+    _, terms = F.clear_denominators(e2)
+    vals = [f.val().coords for f in e2]
+    one = KeyedMat.diagonal(ctx.espec, [F.laurent.pack(t) for t in terms],
+                            max(F.largest_exponents(terms), default=0))
+    return Twist(one, tuple(tuple(tuple(map(operator.add, vi, vj)) for vj in vals)
+                            for vi in vals))
+
+
+def twisted_gauge_value(t: KeyedMat, G: GaugeContext) -> GammaVal:
+    """w(a) from t = t(a) in the closed form min over i,j of v(t_ij) -
+    v(e'_i)/2 - v(e'_j)/2: v(t_ij) is the least exponent vector of the
+    entry's smallest key; INF iff t = 0."""
+    exponents, shifts = G.field.laurent.exponents, G.ctx.twist.shifts
+    best = None
+    for i, row in enumerate(t.rows):
+        for j, x in enumerate(row):
+            keys = [min(c)[0] for c in x if c]
+            if keys:
+                cand = tuple([2 * a - s for a, s in zip(exponents(min(keys)), shifts[i][j])])
+                if best is None or cand < best:
+                    best = cand
+    return GammaVal.infinity() if best is None else GammaVal([Fraction(c, 2) for c in best])
 
 
 def in_gauge_ring(a: MatE, G: GaugeContext) -> bool:

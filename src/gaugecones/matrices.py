@@ -6,6 +6,11 @@ the base field, a right-eigenvalue test, Cayley-Hamilton verification, exact
 positive-semidefiniteness at an ordering, and extraction of eigenvalues lying
 in the base field.
 
+Positive semidefiniteness, and the property suites of the cones module, run
+on KeyedMat: coordinates held as keyed Laurent lists (field.Laurent), whose
+keys add in a product and whose smallest key is the valuation-leading term,
+so a pivot's sign at an ordering is read from one term.
+
 Characteristic polynomials, the Cayley-Hamilton check and the inverse are
 division-free kernels on the matrix with its denominators cleared, d M with
 d the lcm of the coordinate denominators, whose coordinates lie in
@@ -30,10 +35,12 @@ FunctionField.polynomial.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Callable, NamedTuple, Sequence
 
-from .field import FieldError, Kronecker, PolyX, RatFunc, OrderingSpec, rational_roots
+from .field import (FieldError, Kronecker, Laurent, PolyX, RatFunc, OrderingSpec,
+                    rational_roots)
 from .algebra import EElement, EKind, ESpec, SpecMismatch, complex_spec
 
 
@@ -582,33 +589,144 @@ def cayley_hamilton_check(M: MatE) -> bool:
     return not any(any(x) for r in pA for x in r)
 
 
-def psd_at(M: MatE, P: OrderingSpec) -> bool:
-    """Exact positive-semidefiniteness of a hermitian matrix at an ordering.
+class KeyedMat:
+    """A square matrix over F, F(sqrt(-1)) or (-1,-1)_F held as rows of
+    elements whose coordinates are keyed Laurent lists (field.Laurent) with
+    integer coefficients, over one positive integer den: the matrix is
+    rows / den.  reach bounds the |exponents| of every term, and every
+    product checks it against the keys' range.  Each entry of a sum, a
+    product or a scaling is one _dot."""
+
+    __slots__ = ("spec", "rows", "den", "reach")
+
+    def __init__(self, spec: ESpec, rows, den: int = 1, reach: int = 0):
+        self.spec = spec
+        self.rows = rows
+        self.den = den
+        self.reach = reach
+
+    @classmethod
+    def diagonal(cls, spec: ESpec, entries, reach: int) -> "KeyedMat":
+        """diag of keyed lists, as central elements."""
+        zero = ([],) * spec.dim
+        return cls(spec, [[_scalar(c, _KEYED, spec.dim) if i == j else zero
+                           for j in range(len(entries))] for i, c in enumerate(entries)],
+                   1, Laurent.check(reach))
+
+    def _plus(self, other: "KeyedMat", sign: int) -> "KeyedMat":
+        """self + sign other, over the lcm of the denominators."""
+        den, dim = math.lcm(self.den, other.den), self.spec.dim
+        p = _scalar([(0, den // self.den)], _KEYED, dim)
+        q = _scalar([(0, sign * (den // other.den))], _KEYED, dim)
+        table = self.spec.products
+        return KeyedMat(self.spec, [[_dot((p, q), (x, y), table) for x, y in zip(r, s)]
+                                    for r, s in zip(self.rows, other.rows)],
+                        den, max(self.reach, other.reach))
+
+    def __add__(self, other: "KeyedMat") -> "KeyedMat":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "KeyedMat") -> "KeyedMat":
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "KeyedMat":
+        neg = _KEYED.neg
+        return KeyedMat(self.spec, [[tuple(map(neg, x)) for x in r] for r in self.rows],
+                        self.den, self.reach)
+
+    def __mul__(self, other: "KeyedMat") -> "KeyedMat":
+        table = self.spec.products
+        cols = list(zip(*other.rows))
+        return KeyedMat(self.spec, [[_dot(r, c, table) for c in cols] for r in self.rows],
+                        self.den * other.den, Laurent.check(self.reach + other.reach))
+
+    def scale(self, u: RatFunc) -> "KeyedMat":
+        """u self for a monomial or zero u."""
+        if u.is_zero:
+            return KeyedMat(self.spec, [[([],) * self.spec.dim for _ in r] for r in self.rows])
+        exps, c = u.leading_term()
+        s = _scalar(self.spec.field.laurent.pack([(exps, c.numerator)]), _KEYED, self.spec.dim)
+        table = self.spec.products
+        return KeyedMat(self.spec, [[_dot((s,), (x,), table) for x in r] for r in self.rows],
+                        self.den * c.denominator,
+                        Laurent.check(self.reach + max(map(abs, exps), default=0)))
+
+    def star(self) -> "KeyedMat":
+        """The bar-transpose."""
+        neg = _KEYED.neg
+        return KeyedMat(self.spec, [[(x[0],) + tuple(map(neg, x[1:])) for x in c]
+                                    for c in zip(*self.rows)], self.den, self.reach)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(any(x) for r in self.rows for x in r)
+
+    def is_hermitian(self) -> bool:
+        rows, neg = self.rows, _KEYED.neg
+        for i, r in enumerate(rows):
+            for j in range(i, len(rows)):
+                x, y = r[j], rows[j][i]
+                if sorted(x[0]) != sorted(y[0]) or any(
+                        sorted(a) != sorted(neg(b)) for a, b in zip(x[1:], y[1:])):
+                    return False
+        return True
+
+    def psd_at(self, P: OrderingSpec) -> bool:
+        """Positive semidefiniteness at P; den > 0 leaves it unchanged."""
+        if not self.is_hermitian():
+            raise NotHermitian("matrix is not bar-transpose symmetric")
+        return _psd_pivots(self.rows, self.spec, P, self.reach)
+
+
+def _psd_pivots(rows, spec: ESpec, P: OrderingSpec, reach: int) -> bool:
+    """Positive semidefiniteness at P of a hermitian matrix, given as rows of
+    keyed Laurent elements whose |exponents| reach bounds.
 
     Decided by central pivots, Sylvester's law in Schur-complement form (F.
     Zhang, Linear Algebra Appl. 251, 1997).  In M = [[m, r], [r*, M']] the
     pivot m is its own conjugate, so it lies in F and is central.  If m < 0
     at P, M is not PSD; if m = 0, M is PSD iff r = 0 and M' is PSD; if m > 0,
     iff m M' - r* r is PSD: the Schur complement scaled by m, hermitian and
-    division-free.  E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of
+    division-free, each entry one _dot, with reach doubling.  A pivot's
+    sign is that of its leading term, the smallest key."""
+    K, table, neg = spec.field.laurent, spec.products, _KEYED.neg
+    while rows:
+        m = rows[0][0][0]
+        r, rest = rows[0][1:], rows[1:]
+        if not m:
+            if any(any(x) for x in r):
+                return False
+            rows = [row[1:] for row in rest]
+        elif K.sign_at(m, P) < 0:
+            return False
+        else:
+            reach = K.check(2 * reach)
+            m = _scalar(m, _KEYED, spec.dim)
+            r = [tuple(map(neg, y)) for y in r]
+            rows = [[_dot((m, row[0]), (x, y), table) for x, y in zip(row[1:], r)]
+                    for row in rest]
+    return True
+
+
+def psd_at(M: MatE, P: OrderingSpec) -> bool:
+    """Exact positive-semidefiniteness of a hermitian matrix at an ordering.
+
+    Decided on d M, d the lcm of the denominators: its coordinates are keyed
+    once, negated once if d < 0 at P (after a Schur step the entries carry
+    d^2, so d's sign enters only here), and the pivots of _psd_pivots run on
+    them.  E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of
     HermContext; other quaternion algebras raise WrongKind.
     """
     if not M.is_hermitian():
         raise NotHermitian("matrix is not bar-transpose symmetric")
-    _check_kind(M.spec)
-    rows = M.rows
-    while rows:
-        m = rows[0][0].real_part()
-        r, rest = rows[0][1:], rows[1:]
-        if m.is_zero:
-            if not all(x.is_zero for x in r):
-                return False
-            rows = [row[1:] for row in rest]
-        elif m.sign_at(P) < 0:
-            return False
-        else:
-            rows = [[x.scale(m) - row[0] * y for x, y in zip(row[1:], r)] for row in rest]
-    return True
+    d, A = _cleared(M)
+    F = M.spec.field
+    reach = Laurent.check(max(F.largest_exponents([c for r in A for x in r for c in x]),
+                              default=0))
+    A = _map_coords(A, F.laurent.pack)
+    if d.sign_at(P) < 0:
+        A = _map_coords(A, _KEYED.neg)
+    return _psd_pivots(A, M.spec, P, reach)
 
 
 def f_eigenvalues(M: MatE) -> tuple[list[RatFunc], bool]:

@@ -2,7 +2,9 @@
 imports sympy, imports an underscore name from field.py, or reads an
 element's or a field's private attributes.  So is the key layout of the
 keyed lists and Kronecker images: no other module reads a Kronecker's
-private attributes or an int's bytes.  The other modules reach the representation through
+private attributes or an int's bytes, and the signed layout of the Laurent
+keys, their digit range and balanced offset, is read through Laurent's
+methods only.  The other modules reach the representation through
 field.py's public names only, so a change to it is made in field.py alone;
 a field's public attributes hand out no sympy object.  And no module
 imports a name it does not use."""
@@ -14,7 +16,7 @@ import gaugecones
 from gaugecones.field import FunctionField
 
 PRIVATE_ATTRIBUTES = {"_m", "_frac", "_f", "_field", "_ring", "_reciprocal",
-                      "_strides", "_radices", "_digits"}
+                      "_strides", "_radices", "_digits", "_offset"}
 
 
 def parsed_modules():
@@ -73,6 +75,23 @@ def test_only_field_reads_the_bytes_of_an_int():
                     and node.func.attr in ("to_bytes", "from_bytes")):
                 readers.add(name)
     assert readers <= {"field.py"}
+
+
+def test_only_field_reads_the_laurent_layout():
+    """Outside field.py the Laurent keys are packed, decoded, signed and
+    range-checked by Laurent's methods (pack, exponents, sign_at, check):
+    no module reads the digit range REACH or builds a layout of its own."""
+    found = []
+    for name, tree in parsed_modules().items():
+        if name == "field.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "REACH":
+                found.append((name, node.lineno, "REACH"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Laurent"):
+                found.append((name, node.lineno, "Laurent()"))
+    assert found == []
 
 
 def test_every_imported_name_is_used():

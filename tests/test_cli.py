@@ -117,6 +117,8 @@ class TestMalformedConfig:
             ({"algebra": {"variant": "matrix",
                           "form": ["1", "x + " + "1" * (sys.get_int_max_str_digits() + 1)]}},
              "algebra", "integer literal has more than"),
+            ({"algebra": {"variant": "matrix", "form": ["1", "7" * 3000 + "*" + "7" * 3000 + "*x"]}},
+             "algebra", "product could have a coefficient of more than"),
             ({"algebra": {"variant": "quatdiv", "a": "0", "b": "y"}}, "algebra",
              "quaternion parameters must be nonzero"),
         ],
@@ -125,7 +127,7 @@ class TestMalformedConfig:
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
              "kind-list", "form-entry-empty", "form-entry-zero", "form-entry-nested",
-             "form-entry-long-literal", "quatdiv-a-zero"],
+             "form-entry-long-literal", "form-entry-long-product", "quatdiv-a-zero"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         self.check_exit_2(tmp_path, capsys, dict(BASE_DOC, **patch), location, message)

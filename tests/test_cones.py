@@ -30,13 +30,16 @@ from gaugecones.gauges import (
     IndefiniteForm,
     adjoint,
     gauge_value,
+    in_gauge_ideal,
     in_gauge_ring,
     residue_element,
+    twisted_gauge_value,
 )
 from gaugecones.cones import (
     AnisotropyResult,
     CompatReport,
     ConditionResult,
+    _sample_twisted,
     _scale_into_ring,
     UnsupportedVariant,
     anisotropy_certificate,
@@ -188,7 +191,6 @@ class TestAxioms:
                 k: v.violations for k, v in report.conditions.items() if not v.ok
             }
 
-
     def test_failing_condition_keeps_its_witness(self):
         report = CompatReport(3, {"C0": ConditionResult()})
         report.check("C0", True, "kept only on failure")
@@ -196,6 +198,112 @@ class TestAxioms:
         assert report.conditions["C0"].tried == 2
         assert report.conditions["C0"].violations == [(1, "C0")]
         assert not report.ok
+
+
+def mate_prepositive_axioms(G, samples=50, seed=0):
+    """check_prepositive_axioms on MatE, as it ran before the twisted frame:
+    the reference for the suite."""
+    rng = random.Random(seed)
+    names = ("zero_one", "addition", "sandwich", "scalar", "proper")
+    report = CompatReport(seed, {k: ConditionResult() for k in names})
+    check = report.check
+    check("zero_one", cone_member(MatE.zeros(G.espec, G.n), G), "0")
+    check("zero_one", cone_member(MatE.identity(G.espec, G.n), G), "1")
+    for k in range(samples):
+        a, b = sample_cone(G, count=2, rng=rng)
+        check("addition", cone_member(a + b, G), (k, "a+b"))
+        x = random_matrix(G.espec, G.n, rng)
+        check("sandwich", cone_member(G.sigma(x) * a * x, G), (k, "sigma(x) a x"))
+        u = random_positive_scalar(G.field, G.P, rng)
+        check("scalar", cone_member(a.scale(u), G), (k, "u a"))
+        if not a.is_zero:
+            check("proper", not cone_member(-a, G), (k, "-a"))
+    return report
+
+
+def mate_compatibility_suite(G, sample_count=200, seed=0):
+    """compatibility_suite on MatE, as it ran before the twisted frame: the
+    reference for the suite (see its docstring for the conditions)."""
+    rng = random.Random(seed)
+    F = G.field
+    names = ["C0", "C1", "C2", "C3", "C4", "C5", "C6", "C7", "complicated"]
+    report = CompatReport(seed, {k: ConditionResult() for k in names})
+    check = report.check
+    one_mat = MatE.identity(G.espec, G.n)
+    for k in range(sample_count):
+        a, c = sample_cone(G, count=2, rng=rng)
+        b = a + c
+        wa, wb = gauge_value(a, G), gauge_value(b, G)
+        check("C0", wb == min(wa, gauge_value(c, G)), (k, "C0"))
+        if not a.is_zero:
+            check("C1", not wa < wb, (k, "C1"))
+        u = _scale_into_ring(wb, F)
+        check("C2", in_gauge_ring(a.scale(u), G) and in_gauge_ring(b.scale(u), G),
+              (k, "C2"))
+        u = _scale_into_ring(wb, F, strict=True)
+        check("C3", in_gauge_ideal(a.scale(u), G) and in_gauge_ideal(b.scale(u), G),
+              (k, "C3"))
+        check("C4", in_gauge_ideal((a - c).scale(u), G), (k, "C4"))
+        m = a.scale(_scale_into_ring(wa, F, strict=True))
+        check("C6", cone_member(one_mat - m, G) and m != one_mat, (k, "C6"))
+        x = random_matrix(G.espec, G.n, rng)
+        s = G.sigma(x) + x
+        s = s.scale(_scale_into_ring(gauge_value(s, G), F, strict=True))
+        check("C7", cone_member(one_mat + s, G), (k, "C7"))
+        u0 = random_positive_scalar(F, G.P, rng, maxdeg=0)
+        cmat = one_mat.scale(u0) + m
+        check("complicated", cone_member(cmat + s, G), (k, "complicated"))
+    c5 = report.conditions["C5"]
+    for block in residue_cone(G).block_specs:
+        rep = mate_prepositive_axioms(block, samples=sample_count, seed=seed + 1)
+        c5.tried += sum(r.tried for r in rep.conditions.values())
+        for r in rep.conditions.values():
+            c5.violations.extend(r.violations)
+    return report
+
+
+def twisted_oracle_cases():
+    """(id, gauge, seeds, samples): the reference contexts at both orderings;
+    forms with non-monomial entries or denominators, among them one whose
+    cleared denominator d = x y is negative at the ordering; and a rank-3
+    Hamilton form."""
+    F = FunctionField(["x", "y"])
+    x, y = F.vars()
+    cases = [(f"{ctx.espec.kind.value}-{eta}", GaugeContext(ctx, OrderingSpec(eta)),
+              (1, 2, 3), 10)
+             for ctx, etas in reference_contexts() for eta in etas]
+    for kind, form, eta in (
+            ("base", ("1", "1 + x"), (-1, -1)),
+            ("complex", ("1/3", "(x + 1)/(2*y)"), (1, 1)),
+            ("complex", ("1/x", "(1 + y)/(x*y)"), (-1, 1)),
+            ("hamilton", ("1", "x/2"), (1, -1)),
+            ("hamilton", ("x^2 + y", "1/(1 + y)"), (1, 1))):
+        G = make_cone(F, [F.parse(f) for f in form], eta=eta, kind=kind)
+        cases.append((f"{kind}-<{', '.join(form)}>-{eta}", G, (1,), 8))
+    cases.append(("hamilton-<1, x, y>", make_cone(F, [F.one, x, y], kind="hamilton"), (1,), 4))
+    return cases
+
+
+@pytest.mark.parametrize("case", twisted_oracle_cases(), ids=lambda case: case[0])
+def test_twisted_suites_match_mate_reference(case):
+    """Both suites run in the twisted frame on keyed lists; the MatE suites
+    above must give the same report, condition by condition, with the same
+    tries and the same witnesses."""
+    _, G, seeds, samples = case
+    for seed in seeds:
+        # a report holds tries and witnesses only, which any w consistent
+        # with itself would give; so the gauge values are compared too, on
+        # members drawn alike in both frames
+        twisted = _sample_twisted(G, samples, random.Random(seed))
+        for t, a in zip(twisted, sample_cone(G, count=samples, rng=random.Random(seed))):
+            assert twisted_gauge_value(t, G) == gauge_value(a, G)
+        for suite, reference in ((compatibility_suite, mate_compatibility_suite),
+                                 (check_prepositive_axioms, mate_prepositive_axioms)):
+            got, want = suite(G, samples, seed), reference(G, samples, seed)
+            assert list(got.conditions) == list(want.conditions)
+            for name, res in want.conditions.items():
+                assert (got.conditions[name].tried, got.conditions[name].violations) == (
+                    res.tried, res.violations), (seed, suite.__name__, name)
 
 
 class TestPerturbedResidue:

@@ -414,6 +414,26 @@ class TestParser:
             F2.parse("x + " + "1" * (limit + 1))
         assert e.value.position == 4
 
+    def test_coefficient_digit_bound(self, F2):
+        """Products, powers, quotients and sums of literals that each pass the
+        literal bound are refused at their operator when a coefficient could
+        outgrow the digits Python converts; str() of what is accepted works."""
+        limit = sys.get_int_max_str_digits()
+        big = "7" * (limit * 7 // 10)
+        small = "9" * (limit // 50)
+        for src, position in ((f"{big}*{big}*x", len(big)),
+                              (f"x + ({small})^100", 4 + len(small) + 3),
+                              (f"1/{big} + 1/{big}", 2 + len(big) + 1),
+                              (f"x/{big} / {big}", 2 + len(big) + 1)):
+            with pytest.raises(ExprSyntaxError, match=f"more than {limit} digits") as e:
+                F2.parse(src)
+            assert e.value.position == position, src
+        # heights are read from the values built, not accumulated: a chain of
+        # 20,000 unit products or sums stays at bit length 1 or 15
+        for src in ("*".join(["x"] * 20_000), "+".join(["x"] * 20_000),
+                    f"{big}*x^2 + {big}*x^2 + {big}*y", f"({small})^40"):
+            str(F2.parse(src))
+
     def test_power_term_bound(self):
         F = FunctionField(["x", "y", "z"])
         # (1+x+y)^60 has C(62, 2) = 1,891 terms, within the bound

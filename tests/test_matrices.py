@@ -434,6 +434,37 @@ def hermitian_matrices(draw):
     return M
 
 
+def ratfunc_psd(M, P):
+    """psd_at as it ran before the keyed pivots: the same central pivots on
+    M's RatFunc entries, m M' - r* r at each step; the reference for psd_at."""
+    rows = M.rows
+    while rows:
+        m = rows[0][0].real_part()
+        r, rest = rows[0][1:], rows[1:]
+        if m.is_zero:
+            if not all(x.is_zero for x in r):
+                return False
+            rows = [row[1:] for row in rest]
+        elif m.sign_at(P) < 0:
+            return False
+        else:
+            rows = [[x.scale(m) - row[0] * y for x, y in zip(row[1:], r)] for row in rest]
+    return True
+
+
+# denominators of either sign at the orderings of Q(x, y): d is negative at
+# half of them for x, y, x y and y - 2 x, and positive at all for 1 + x^2 y
+PSD_DENOMINATORS = [ORACLE_F.parse(s) for s in ("1", "x", "y", "x*y", "y - 2*x", "1 + x^2*y")]
+
+
+@st.composite
+def hermitian_over_denominators(draw):
+    """hermitian_matrices divided by one of PSD_DENOMINATORS, so that the
+    lcm d of the denominators is negative at some orderings."""
+    M = draw(hermitian_matrices())
+    return M.scale(ORACLE_F.one / draw(st.sampled_from(PSD_DENOMINATORS)))
+
+
 class TestMatE:
     def test_ring_ops(self, F2):
         rng = random.Random(31)
@@ -789,6 +820,23 @@ class TestPsdAt:
     def test_matches_charpoly_sign_rule(self, M):
         for P in enumerate_orderings(2):
             assert psd_at(M, P) is charpoly_psd(M, P)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=hermitian_over_denominators())
+    def test_matches_ratfunc_pivots(self, M):
+        """The keyed pivots of psd_at against the RatFunc pivot loop, at every
+        ordering, so at those where the cleared denominator is negative."""
+        for P in enumerate_orderings(2):
+            assert psd_at(M, P) is ratfunc_psd(M, P)
+
+    def test_negative_cleared_denominator(self, F2):
+        """diag(-1, 1) / x at x < 0: d = x is negative, d M = diag(-1, 1) is
+        negated once, and its second pivot, which carries d^2, decides."""
+        x, _ = F2.vars()
+        B = base_spec(F2)
+        M = MatE.diagonal(B, [-F2.one / x, F2.one / x])
+        for P in enumerate_orderings(2):
+            assert psd_at(M, P) is ratfunc_psd(M, P) is False
 
     def test_vector_sampling_consistency(self, F2):
         rng = random.Random(38)
