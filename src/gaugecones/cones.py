@@ -98,8 +98,11 @@ def _twisted_member(t: KeyedMat, G: GaugeContext) -> bool:
 # Sampling
 # ---------------------------------------------------------------------------
 
+_MAXDEG, _HEIGHT = 2, 6     # default draws: exponents 0.._MAXDEG, |coefficients| <= _HEIGHT
+
+
 def random_positive_scalar(F: FunctionField, P: OrderingSpec, rng: random.Random,
-                           maxdeg: int = 2, height: int = 6) -> RatFunc:
+                           maxdeg: int = _MAXDEG, height: int = _HEIGHT) -> RatFunc:
     """A monomial that is positive at P, with a random valuation."""
     exps = [rng.randint(0, maxdeg) for _ in range(F.r)]
     c = Fraction(rng.randint(1, height), rng.randint(1, 3))
@@ -123,7 +126,7 @@ def _draw(r: int, dim: int, n: int, rng: random.Random, maxdeg: int, height: int
 
 
 def random_matrix(spec: ESpec, n: int, rng: random.Random,
-                  maxdeg: int = 2, height: int = 6) -> MatE:
+                  maxdeg: int = _MAXDEG, height: int = _HEIGHT) -> MatE:
     """Sparse random matrix with monomial entries."""
     F = spec.field
     return MatE(spec, [[EElement(spec, tuple([F.zero if c is None else F.monomial(*c)
@@ -131,13 +134,13 @@ def random_matrix(spec: ESpec, n: int, rng: random.Random,
                        for r in _draw(F.r, spec.dim, n, rng, maxdeg, height)])
 
 
-def _random_keyed(spec: ESpec, n: int, rng: random.Random,
-                  maxdeg: int = 2, height: int = 6) -> KeyedMat:
-    """random_matrix, drawn alike from rng, as a KeyedMat."""
+def _random_keyed(spec: ESpec, n: int, rng: random.Random) -> KeyedMat:
+    """random_matrix with its default draw, drawn alike from rng, as a
+    KeyedMat."""
     pack = spec.field.laurent.pack
     return KeyedMat(spec, [[tuple([[] if c is None else pack([c]) for c in q]) for q in r]
-                           for r in _draw(spec.field.r, spec.dim, n, rng, maxdeg, height)],
-                    1, maxdeg)
+                           for r in _draw(spec.field.r, spec.dim, n, rng, _MAXDEG, _HEIGHT)],
+                    1, _MAXDEG)
 
 
 def _sample(G: GaugeContext, S, count: int, rng: random.Random, draw, sandwich) -> list:

@@ -699,6 +699,8 @@ def _psd_pivots(rows, spec: ESpec, P: OrderingSpec, reach: int) -> bool:
             rows = [row[1:] for row in rest]
         elif K.sign_at(m, P) < 0:
             return False
+        elif not rest:
+            return True
         else:
             reach = K.check(2 * reach)
             m = _scalar(m, _KEYED, spec.dim)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugecones.field import (
+    FieldError,
     FunctionField,
     GammaVal,
     OrderingSpec,
@@ -837,6 +838,17 @@ class TestPsdAt:
         M = MatE.diagonal(B, [-F2.one / x, F2.one / x])
         for P in enumerate_orderings(2):
             assert psd_at(M, P) is ratfunc_psd(M, P) is False
+
+    def test_reach_doubles_per_schur_step(self, F2):
+        """An n x n input takes n - 1 Schur steps, so its exponents may reach
+        16383 / 2^(n-1): the last pivot is only read, never squared."""
+        x, _ = F2.vars()
+        B = base_spec(F2)
+        for M in (MatE.diagonal(B, [x ** 10000]), MatE.diagonal(B, [F2.one, x ** 5000])):
+            for P in enumerate_orderings(2):
+                assert psd_at(M, P) is ratfunc_psd(M, P)
+        with pytest.raises(FieldError):
+            psd_at(MatE.diagonal(B, [F2.one, x ** 9000]), enumerate_orderings(2)[0])
 
     def test_vector_sampling_consistency(self, F2):
         rng = random.Random(38)
