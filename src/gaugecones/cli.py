@@ -27,6 +27,7 @@ from .field import (
     OrderingCoset,
     OrderingSpec,
     enumerate_orderings,
+    long_product,
 )
 from .algebra import (
     HermContext,
@@ -105,7 +106,7 @@ def parse_config(doc: dict) -> dict:
             form = alg.get("form")
             if not isinstance(form, list) or not form or not all(isinstance(f, str) for f in form):
                 raise ConfigError("form must be a nonempty list of expressions", "algebra.form")
-            entries = tuple(F.parse(src) for src in form)
+            entries, where = tuple(F.parse(src) for src in form), "algebra.form"
             algebra = HermContext(spec_of[kind](F), entries)
         elif variant == "quatdiv":
             inv = {"gamma": Involution.GAMMA, "int_i_gamma": Involution.INT_I_GAMMA}.get(
@@ -116,9 +117,13 @@ def parse_config(doc: dict) -> dict:
             for key in ("a", "b"):
                 if not isinstance(alg.get(key), str):
                     raise ConfigError(f"{key} must be an expression", f"algebra.{key}")
-            algebra = QuatDivSpec(F.parse(alg["a"]), F.parse(alg["b"]), inv)
+            entries, where = (F.parse(alg["a"]), F.parse(alg["b"])), "algebra.b"
+            algebra = QuatDivSpec(*entries, inv)
         else:
             raise ConfigError("variant must be matrix or quatdiv", "algebra.variant")
+        if long_product(entries):
+            raise ConfigError("a product of two entries could have a coefficient of more than "
+                              f"{sys.get_int_max_str_digits()} digits", where)
     except FieldError as exc:
         raise ConfigError(str(exc), "algebra") from exc
     except (KeyError, ValueError) as exc:

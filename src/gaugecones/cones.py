@@ -22,9 +22,10 @@ positive semidefinite at P, since d^2 > 0 at every ordering; and the gauge
 is the closed form w(a) = min over i,j of v(t_ij) - v(e'_i)/2 - v(e'_j)/2.
 So one path serves every form, monomial or not.  Each matrix t(a) is a
 matrices.KeyedMat, integer Laurent term lists over one positive
-denominator, which changes neither membership nor w.  The draws take the
-same values from the generator as random_matrix and sample_cone, so a
-suite's report is the one the MatE path gives.
+denominator, which changes neither membership nor w; the draws enter it
+through KeyedMat.of_terms, which keys them and bounds their exponents.
+The draws take the same values from the generator as random_matrix and
+sample_cone, so a suite's report is the one the MatE path gives.
 """
 
 from __future__ import annotations
@@ -102,45 +103,39 @@ _MAXDEG, _HEIGHT = 2, 6     # default draws: exponents 0.._MAXDEG, |coefficients
 
 
 def random_positive_scalar(F: FunctionField, P: OrderingSpec, rng: random.Random,
-                           maxdeg: int = _MAXDEG, height: int = _HEIGHT) -> RatFunc:
+                           maxdeg: int = _MAXDEG) -> RatFunc:
     """A monomial that is positive at P, with a random valuation."""
     exps = [rng.randint(0, maxdeg) for _ in range(F.r)]
-    c = Fraction(rng.randint(1, height), rng.randint(1, 3))
+    c = Fraction(rng.randint(1, _HEIGHT), rng.randint(1, 3))
     u = F.monomial(exps, c)
     if u.sign_at(P) < 0:
         u = -u
     return u
 
 
-def _draw(r: int, dim: int, n: int, rng: random.Random, maxdeg: int, height: int):
+def _draw(r: int, dim: int, n: int, rng: random.Random, height: int):
     """The n x n rows of a sparse random matrix with monomial coordinates,
-    each None for zero or (exponents, integer coefficient)."""
+    each a term list: [] for zero or [(exponents, integer coefficient)]."""
 
     def coord():
         if rng.random() < 0.5:
-            return None
-        exps = [rng.randint(0, maxdeg) for _ in range(r)]
-        return exps, rng.randint(-height, height) or 1
+            return []
+        exps = [rng.randint(0, _MAXDEG) for _ in range(r)]
+        return [(exps, rng.randint(-height, height) or 1)]
 
     return [[tuple([coord() for _ in range(dim)]) for _ in range(n)] for _ in range(n)]
 
 
-def random_matrix(spec: ESpec, n: int, rng: random.Random,
-                  maxdeg: int = _MAXDEG, height: int = _HEIGHT) -> MatE:
+def random_matrix(spec: ESpec, n: int, rng: random.Random, height: int = _HEIGHT) -> MatE:
     """Sparse random matrix with monomial entries."""
     F = spec.field
-    return MatE(spec, [[EElement(spec, tuple([F.zero if c is None else F.monomial(*c)
-                                               for c in q])) for q in r]
-                       for r in _draw(F.r, spec.dim, n, rng, maxdeg, height)])
+    return MatE(spec, [[EElement(spec, tuple([F.monomial(*c[0]) if c else F.zero for c in q]))
+                        for q in r] for r in _draw(F.r, spec.dim, n, rng, height)])
 
 
 def _random_keyed(spec: ESpec, n: int, rng: random.Random) -> KeyedMat:
-    """random_matrix with its default draw, drawn alike from rng, as a
-    KeyedMat."""
-    pack = spec.field.laurent.pack
-    return KeyedMat(spec, [[tuple([[] if c is None else pack([c]) for c in q]) for q in r]
-                           for r in _draw(spec.field.r, spec.dim, n, rng, _MAXDEG, _HEIGHT)],
-                    1, _MAXDEG)
+    """random_matrix's default draw, drawn alike from rng, as a KeyedMat."""
+    return KeyedMat.of_terms(spec, _draw(spec.field.r, spec.dim, n, rng, _HEIGHT))
 
 
 def _sample(G: GaugeContext, S, count: int, rng: random.Random, draw, sandwich) -> list:
@@ -506,8 +501,7 @@ class AnisotropyResult:
 
 
 def anisotropy_certificate(coeffs: Sequence[RatFunc], ctx: HermContext,
-                           P: OrderingSpec, multiplier: int = 2,
-                           seed: int = 0, attempts: int = 200) -> AnisotropyResult:
+                           P: OrderingSpec, seed: int = 0) -> AnisotropyResult:
     """Certificate of strong anisotropy for the diagonal hermitian form with
     the given coefficients over (M_n(E), ad_h).
 
@@ -524,7 +518,7 @@ def anisotropy_certificate(coeffs: Sequence[RatFunc], ctx: HermContext,
     units = all(f.val() == zero for f in coeffs)
     certified = positive and (units or coset_index(ctx) == 1)
 
-    witness = _isotropy_falsifier(coeffs, ctx, P, rng, attempts, multiplier)
+    witness = _isotropy_falsifier(coeffs, ctx, rng)
     if certified:
         if witness is not None:
             raise FieldError("certificate contradicted by an isotropy witness")
@@ -532,7 +526,7 @@ def anisotropy_certificate(coeffs: Sequence[RatFunc], ctx: HermContext,
     return AnisotropyResult("UNKNOWN", witness)
 
 
-def _isotropy_falsifier(coeffs, ctx, P, rng, attempts, multiplier):
+def _isotropy_falsifier(coeffs, ctx, rng):
     """Search for x_i, not all zero, with sum sigma(x_i) a_i x_i = 0."""
     spec = ctx.espec
     n = ctx.n
@@ -556,16 +550,9 @@ def _isotropy_falsifier(coeffs, ctx, P, rng, attempts, multiplier):
                     if total(xs).is_zero:
                         return tuple(xs)
     # random attempts
-    for _ in range(attempts):
-        xs = []
-        nonzero = False
-        for _ in range(ell):
-            if rng.random() < 0.4:
-                xs.append(MatE.zeros(spec, n))
-            else:
-                x = random_matrix(spec, n, rng, maxdeg=multiplier, height=4)
-                nonzero = nonzero or not x.is_zero
-                xs.append(x)
-        if nonzero and total(xs).is_zero:
+    for _ in range(200):
+        xs = [MatE.zeros(spec, n) if rng.random() < 0.4 else random_matrix(spec, n, rng, height=4)
+              for _ in range(ell)]
+        if not all(x.is_zero for x in xs) and total(xs).is_zero:
             return tuple(xs)
     return None

@@ -143,13 +143,10 @@ class Twist(NamedTuple):
 
 def twist(ctx: HermContext) -> Twist:
     """The twisted frame of ctx's form; HermContext.twist holds it."""
-    F = ctx.field
-    d, _ = F.clear_denominators(ctx.e)
+    d, _ = ctx.field.clear_denominators(ctx.e)
     e2 = [d * d * f for f in ctx.e]
-    _, terms = F.clear_denominators(e2)
     vals = [f.val().coords for f in e2]
-    one = KeyedMat.diagonal(ctx.espec, [F.laurent.pack(t) for t in terms],
-                            max(F.largest_exponents(terms), default=0))
+    _, one = KeyedMat.cleared(MatE.diagonal(ctx.espec, e2))  # e' has no denominators
     return Twist(one, tuple(tuple(tuple(map(operator.add, vi, vj)) for vj in vals)
                             for vi in vals))
 

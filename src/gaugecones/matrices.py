@@ -9,7 +9,8 @@ in the base field.
 Positive semidefiniteness, and the property suites of the cones module, run
 on KeyedMat: coordinates held as keyed Laurent lists (field.Laurent), whose
 keys add in a product and whose smallest key is the valuation-leading term,
-so a pivot's sign at an ordering is read from one term.
+so a pivot's sign at an ordering is read from one term.  Its two doors,
+of_terms and cleared, pack the keys and take the reach, the largest |e_i|.
 
 Characteristic polynomials, the Cayley-Hamilton check and the inverse are
 division-free kernels on the matrix with its denominators cleared, d M with
@@ -436,11 +437,6 @@ def _inverse_kernel(spec: ESpec, A, ring) -> tuple:
     return imaginary, divisor, B
 
 
-def _check_kind(spec: ESpec) -> None:
-    if spec.kind is EKind.QUAT and not spec.hamilton:
-        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
-
-
 def _cleared(M: MatE):
     """(d, rows of the term-list elements of d M), d the lcm of the
     coordinate denominators (FunctionField.clear_denominators).  The one
@@ -448,7 +444,8 @@ def _cleared(M: MatE):
     (-1,-1)_F."""
     if not M.is_square:
         raise DimensionMismatch("kernel input is not a square matrix")
-    _check_kind(M.spec)
+    if M.spec.kind is EKind.QUAT and not M.spec.hamilton:
+        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
     d, flat = M.spec.field.clear_denominators([c for r in M.rows for q in r for c in q.coords])
     elems = list(zip(*[iter(flat)] * M.spec.dim))
     m = M.m
@@ -606,12 +603,21 @@ class KeyedMat:
         self.reach = reach
 
     @classmethod
-    def diagonal(cls, spec: ESpec, entries, reach: int) -> "KeyedMat":
-        """diag of keyed lists, as central elements."""
-        zero = ([],) * spec.dim
-        return cls(spec, [[_scalar(c, _KEYED, spec.dim) if i == j else zero
-                           for j in range(len(entries))] for i, c in enumerate(entries)],
-                   1, Laurent.check(reach))
+    def of_terms(cls, spec: ESpec, rows) -> "KeyedMat":
+        """The matrix whose rows of elements have coordinates given as term
+        lists with integer coefficients, each packed once; the reach is the
+        largest |exponent| packed."""
+        pack = spec.field.laurent.pack
+        reach = max([abs(a) for r in rows for x in r for t in x for e, _ in t for a in e],
+                    default=0)
+        return cls(spec, [[tuple([pack(t) if t else [] for t in x]) for x in r] for r in rows], 1,
+                   Laurent.check(reach))
+
+    @classmethod
+    def cleared(cls, M: MatE) -> tuple[RatFunc, "KeyedMat"]:
+        """(d, d M), d the lcm of M's denominators (_cleared)."""
+        d, A = _cleared(M)
+        return d, cls.of_terms(M.spec, A)
 
     def _plus(self, other: "KeyedMat", sign: int) -> "KeyedMat":
         """self + sign other, over the lcm of the denominators."""
@@ -672,63 +678,47 @@ class KeyedMat:
         return True
 
     def psd_at(self, P: OrderingSpec) -> bool:
-        """Positive semidefiniteness at P; den > 0 leaves it unchanged."""
+        """Positive semidefiniteness at P; den > 0 leaves it unchanged.
+
+        Decided by central pivots, Sylvester's law in Schur-complement form
+        (F. Zhang, Linear Algebra Appl. 251, 1997).  In M = [[m, r], [r*, M']]
+        the pivot m is its own conjugate, so it lies in F and is central.  If
+        m < 0 at P, M is not PSD; if m = 0, M is PSD iff r = 0 and M' is PSD;
+        if m > 0, iff m M' - r* r is PSD: the Schur complement scaled by m,
+        hermitian and division-free, each entry one _dot, with the reach
+        doubling.  A pivot's sign is that of its leading term, the smallest
+        key."""
         if not self.is_hermitian():
             raise NotHermitian("matrix is not bar-transpose symmetric")
-        return _psd_pivots(self.rows, self.spec, P, self.reach)
-
-
-def _psd_pivots(rows, spec: ESpec, P: OrderingSpec, reach: int) -> bool:
-    """Positive semidefiniteness at P of a hermitian matrix, given as rows of
-    keyed Laurent elements whose |exponents| reach bounds.
-
-    Decided by central pivots, Sylvester's law in Schur-complement form (F.
-    Zhang, Linear Algebra Appl. 251, 1997).  In M = [[m, r], [r*, M']] the
-    pivot m is its own conjugate, so it lies in F and is central.  If m < 0
-    at P, M is not PSD; if m = 0, M is PSD iff r = 0 and M' is PSD; if m > 0,
-    iff m M' - r* r is PSD: the Schur complement scaled by m, hermitian and
-    division-free, each entry one _dot, with reach doubling.  A pivot's
-    sign is that of its leading term, the smallest key."""
-    K, table, neg = spec.field.laurent, spec.products, _KEYED.neg
-    while rows:
-        m = rows[0][0][0]
-        r, rest = rows[0][1:], rows[1:]
-        if not m:
-            if any(any(x) for x in r):
+        spec, rows, reach = self.spec, self.rows, self.reach
+        K, table, neg = spec.field.laurent, spec.products, _KEYED.neg
+        while rows:
+            m = rows[0][0][0]
+            r, rest = rows[0][1:], rows[1:]
+            if not m:
+                if any(any(x) for x in r):
+                    return False
+                rows = [row[1:] for row in rest]
+            elif K.sign_at(m, P) < 0:
                 return False
-            rows = [row[1:] for row in rest]
-        elif K.sign_at(m, P) < 0:
-            return False
-        elif not rest:
-            return True
-        else:
-            reach = K.check(2 * reach)
-            m = _scalar(m, _KEYED, spec.dim)
-            r = [tuple(map(neg, y)) for y in r]
-            rows = [[_dot((m, row[0]), (x, y), table) for x, y in zip(row[1:], r)]
-                    for row in rest]
-    return True
+            elif not rest:
+                return True
+            else:
+                reach = K.check(2 * reach)
+                m = _scalar(m, _KEYED, spec.dim)
+                r = [tuple(map(neg, y)) for y in r]
+                rows = [[_dot((m, row[0]), (x, y), table) for x, y in zip(row[1:], r)]
+                        for row in rest]
+        return True
 
 
 def psd_at(M: MatE, P: OrderingSpec) -> bool:
-    """Exact positive-semidefiniteness of a hermitian matrix at an ordering.
-
-    Decided on d M, d the lcm of the denominators: its coordinates are keyed
-    once, negated once if d < 0 at P (after a Schur step the entries carry
-    d^2, so d's sign enters only here), and the pivots of _psd_pivots run on
-    them.  E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of
-    HermContext; other quaternion algebras raise WrongKind.
-    """
-    if not M.is_hermitian():
-        raise NotHermitian("matrix is not bar-transpose symmetric")
-    d, A = _cleared(M)
-    F = M.spec.field
-    reach = Laurent.check(max(F.largest_exponents([c for r in A for x in r for c in x]),
-                              default=0))
-    A = _map_coords(A, F.laurent.pack)
-    if d.sign_at(P) < 0:
-        A = _map_coords(A, _KEYED.neg)
-    return _psd_pivots(A, M.spec, P, reach)
+    """Exact positive-semidefiniteness of a hermitian matrix at an ordering:
+    KeyedMat.psd_at on d M (KeyedMat.cleared), negated once if d < 0 at P.
+    d is real, so d M is hermitian exactly when M is, and after a Schur step
+    the entries carry d^2.  E must be F, F(sqrt(-1)) or (-1,-1)_F."""
+    d, K = KeyedMat.cleared(M)
+    return (-K if d.sign_at(P) < 0 else K).psd_at(P)
 
 
 def f_eigenvalues(M: MatE) -> tuple[list[RatFunc], bool]:

@@ -4,7 +4,8 @@ element's or a field's private attributes.  So is the key layout of the
 keyed lists and Kronecker images: no other module reads a Kronecker's
 private attributes or an int's bytes, and the signed layout of the Laurent
 keys, their digit range and balanced offset, is read through Laurent's
-methods only.  The other modules reach the representation through
+methods only, and outside field.py only matrices.py packs the keys and
+bounds their reach.  The other modules reach the representation through
 field.py's public names only, so a change to it is made in field.py alone;
 a field's public attributes hand out no sympy object.  And no module
 imports a name it does not use."""
@@ -91,6 +92,34 @@ def test_only_field_reads_the_laurent_layout():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "Laurent"):
                 found.append((name, node.lineno, "Laurent()"))
+    assert found == []
+
+
+def _name(node):
+    """The name a Name or an Attribute node ends in, None for other nodes."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_only_matrices_and_field_handle_keys_and_reach():
+    """The Laurent frame has one door, KeyedMat.of_terms and KeyedMat.cleared,
+    which pack the keys and set the reach.  Outside field.py and matrices.py
+    no module packs with a field's laurent.pack, calls Laurent.check, reads
+    or passes a reach, or calls KeyedMat(...) itself."""
+    found = []
+    for name, tree in parsed_modules().items():
+        if name in ("field.py", "matrices.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if (node.attr, _name(node.value)) in (("pack", "laurent"), ("check", "Laurent"),
+                                                      ("check", "laurent")):
+                    found.append((name, node.lineno, f"{_name(node.value)}.{node.attr}"))
+                elif node.attr == "reach":
+                    found.append((name, node.lineno, "reach"))
+            elif isinstance(node, ast.keyword) and node.arg == "reach":
+                found.append((name, node.lineno, "reach="))
+            elif isinstance(node, ast.Call) and _name(node.func) == "KeyedMat":
+                found.append((name, node.lineno, "KeyedMat()"))
     assert found == []
 
 

@@ -121,13 +121,19 @@ class TestMalformedConfig:
              "algebra", "product could have a coefficient of more than"),
             ({"algebra": {"variant": "quatdiv", "a": "0", "b": "y"}}, "algebra",
              "quaternion parameters must be nonzero"),
+            # trace_form prints e_1/e_2 = N M x, and 2ab over (a,b)_F
+            ({"algebra": {"variant": "matrix", "form": ["7" * 2200 + "*x", "1/" + "3" * 2200]}},
+             "algebra.form", "a product of two entries could have a coefficient of more than"),
+            ({"algebra": {"variant": "quatdiv", "a": "7" * 2200, "b": "3" * 2200}},
+             "algebra.b", "a product of two entries could have a coefficient of more than"),
         ],
         ids=["duplicate-vars", "vars-not-identifiers", "quatdiv-a-int", "involution-list",
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
              "kind-list", "form-entry-empty", "form-entry-zero", "form-entry-nested",
-             "form-entry-long-literal", "form-entry-long-product", "quatdiv-a-zero"],
+             "form-entry-long-literal", "form-entry-long-product", "quatdiv-a-zero",
+             "form-entries-long-quotient", "quatdiv-long-product"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         self.check_exit_2(tmp_path, capsys, dict(BASE_DOC, **patch), location, message)

@@ -20,6 +20,7 @@ from gaugecones.field import (
 from gaugecones.algebra import (
     EElement,
     EKind,
+    HermContext,
     base_spec,
     complex_spec,
     hamilton_spec,
@@ -27,6 +28,7 @@ from gaugecones.algebra import (
 )
 from gaugecones.matrices import (
     DimensionMismatch,
+    KeyedMat,
     MatE,
     NotHermitian,
     Singular,
@@ -39,6 +41,8 @@ from gaugecones.matrices import (
     reduced_charpoly,
 )
 from gaugecones.matrices import _caps, _cleared
+from gaugecones.gauges import GaugeContext
+from gaugecones.cones import check_prepositive_axioms, compatibility_suite
 
 from test_field import random_element, random_ratfunc
 
@@ -850,6 +854,23 @@ class TestPsdAt:
         with pytest.raises(FieldError):
             psd_at(MatE.diagonal(B, [F2.one, x ** 9000]), enumerate_orderings(2)[0])
 
+    def test_malformed_inputs(self, F2):
+        """KeyedMat.cleared comes before the hermitian test: a non-square
+        matrix raises DimensionMismatch, a matrix over a quaternion algebra
+        other than (-1,-1)_F WrongKind, and one whose cleared exponents pass
+        +-16383 FieldError, hermitian or not."""
+        x, y = F2.vars()
+        B, Q = base_spec(F2), quat_spec(F2, x, y)
+        P = OrderingSpec((1, 1))
+        with pytest.raises(DimensionMismatch):
+            psd_at(MatE.from_scalar_rows(B, [[F2.one, F2.one]]), P)
+        with pytest.raises(WrongKind):
+            psd_at(MatE(Q, [[Q.basis()[1]]]), P)
+        for e in (x ** 20000, F2.one / x ** 20000):
+            with pytest.raises(FieldError) as raised:
+                psd_at(MatE.from_scalar_rows(B, [[e, F2.one], [F2.zero, F2.one]]), P)
+            assert not isinstance(raised.value, NotHermitian)
+
     def test_vector_sampling_consistency(self, F2):
         rng = random.Random(38)
         for spec in (base_spec(F2), complex_spec(F2), hamilton_spec(F2)):
@@ -872,6 +893,36 @@ class TestPsdAt:
                         q = (v.bar_transpose() * M * v).rows[0][0]
                         assert q.is_central()
                         assert q.coords[0].sign_at(P) >= 0
+
+
+class TestKeyedMatOfTerms:
+    def test_reach_is_the_largest_absolute_exponent(self, F2):
+        """of_terms takes the reach from the exponents it packs, of either
+        sign, and refuses one beyond the keys' range +-16383."""
+        B = base_spec(F2)
+
+        def keyed(exps):
+            return KeyedMat.of_terms(B, [[([(exps, 1)],)]])
+
+        for exps in ((16383, 0), (0, -16383), (-16383, 5)):
+            assert keyed(exps).reach == 16383
+        for exps in ((16384, 0), (-16384, 0), (2, -16384)):
+            with pytest.raises(FieldError):
+                keyed(exps)
+
+    def test_suites_keep_their_exponent_range(self):
+        """<1, x^8182> and <1, x^4092> are the widest forms of this shape
+        that the suites answered while their draws' reach was the draw
+        bound 2 rather than the exponents drawn: the reach of_terms takes
+        from the draws must never narrow that range."""
+        F = FunctionField(["x"])
+        x = F.var(0)
+
+        def gauge(E):
+            return GaugeContext(HermContext(base_spec(F), (F.one, x ** E)), OrderingSpec((1,)))
+
+        assert check_prepositive_axioms(gauge(8182), samples=5, seed=1).ok
+        assert compatibility_suite(gauge(4092), sample_count=5, seed=1).ok
 
 
 class TestFEigenvalues:
