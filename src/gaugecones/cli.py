@@ -37,7 +37,7 @@ from .algebra import (
     complex_spec,
     hamilton_spec,
 )
-from .matrices import NonRealCoefficient, reduced_charpoly
+from .matrices import NonRealCoefficient, cayley_hamilton_check, reduced_charpoly
 from .gauges import GaugeContext, coset_index, is_dubrovin, value_coset_set
 from .cones import (
     check_prepositive_axioms,
@@ -80,6 +80,14 @@ class ConfigError(Exception):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _parse(F: FunctionField, src: str, where: str):
+    """F.parse(src), a parse error naming the entry where src came from."""
+    try:
+        return F.parse(src)
+    except FieldError as exc:
+        raise ConfigError(str(exc), where) from exc
+
+
 def parse_config(doc: dict) -> dict:
     """Validate a raw configuration document and build the working objects."""
     if not isinstance(doc, dict):
@@ -106,7 +114,8 @@ def parse_config(doc: dict) -> dict:
             form = alg.get("form")
             if not isinstance(form, list) or not form or not all(isinstance(f, str) for f in form):
                 raise ConfigError("form must be a nonempty list of expressions", "algebra.form")
-            entries, where = tuple(F.parse(src) for src in form), "algebra.form"
+            entries = tuple(_parse(F, src, f"algebra.form[{i}]") for i, src in enumerate(form))
+            where = "algebra.form"
             algebra = HermContext(spec_of[kind](F), entries)
         elif variant == "quatdiv":
             inv = {"gamma": Involution.GAMMA, "int_i_gamma": Involution.INT_I_GAMMA}.get(
@@ -117,7 +126,8 @@ def parse_config(doc: dict) -> dict:
             for key in ("a", "b"):
                 if not isinstance(alg.get(key), str):
                     raise ConfigError(f"{key} must be an expression", f"algebra.{key}")
-            entries, where = (F.parse(alg["a"]), F.parse(alg["b"])), "algebra.b"
+            entries = tuple(_parse(F, alg[key], f"algebra.{key}") for key in ("a", "b"))
+            where = "algebra.b"
             algebra = QuatDivSpec(*entries, inv)
         else:
             raise ConfigError("variant must be matrix or quatdiv", "algebra.variant")
@@ -335,8 +345,6 @@ def _analysis_wadth(cfg) -> dict:
 
 
 def _analysis_quatmat(cfg) -> dict:
-    from .matrices import cayley_hamilton_check
-
     rng = random.Random(cfg["seed"])
     F = cfg["field"]
     spec = hamilton_spec(F)

@@ -153,17 +153,12 @@ def twist(ctx: HermContext) -> Twist:
 
 def twisted_gauge_value(t: KeyedMat, G: GaugeContext) -> GammaVal:
     """w(a) from t = t(a) in the closed form min over i,j of v(t_ij) -
-    v(e'_i)/2 - v(e'_j)/2: v(t_ij) is the least exponent vector of the
-    entry's smallest key; INF iff t = 0."""
-    exponents, shifts = G.field.laurent.exponents, G.ctx.twist.shifts
-    best = None
-    for i, row in enumerate(t.rows):
-        for j, x in enumerate(row):
-            keys = [min(c)[0] for c in x if c]
-            if keys:
-                cand = tuple([2 * a - s for a, s in zip(exponents(min(keys)), shifts[i][j])])
-                if best is None or cand < best:
-                    best = cand
+    v(e'_i)/2 - v(e'_j)/2: v(t_ij) is the entry's least exponent vector
+    (KeyedMat.least_exponents); INF iff t = 0."""
+    shifts = G.ctx.twist.shifts
+    best = min([tuple([2 * a - s for a, s in zip(v, shifts[i][j])])
+                for i, row in enumerate(t.least_exponents())
+                for j, v in enumerate(row) if v is not None], default=None)
     return GammaVal.infinity() if best is None else GammaVal([Fraction(c, 2) for c in best])
 
 

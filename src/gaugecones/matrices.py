@@ -17,21 +17,23 @@ division-free kernels on the matrix with its denominators cleared, d M with
 d the lcm of the coordinate denominators, whose coordinates lie in
 Z[x_1,...,x_r]: Berkowitz's recursion for the characteristic polynomial and
 Horner's rule for the Cayley-Hamilton tail, each sum of products in E one
-dot product.  Each coordinate is keyed once (field.Kronecker, whose
-degree caps bound every output), and the kernels are written once over two
-representations of the keyed coordinates.  Where Berkowitz runs on at
-least 6 rows (n, or 2n for a quaternion matrix) and at most two variables
-occur in d M, each coordinate is its Kronecker image, one int, and a dot
-product is a sum of int products; elsewhere the coordinates stay keyed
-lists, and a dot product adds each term product, keyed by the sum of two
-keys, into one dict per output coordinate.  The images' width comes from a
-first run of the same kernel on majorants: the coordinates' 1-norms, with
-every structure-constant sign taken as + and negation as the identity,
-which bound the 1-norm, and so the coefficients, of every output.  Field
-elements are built from the outputs only: the charpoly of M by one rescale
-by powers of d, the inverse by one scalar division.  The kernels reach
-field elements only through FunctionField.clear_denominators and
-FunctionField.polynomial.
+dot product; every algebra inverts through its reduced charpoly.  One
+runner, _run, clears the denominators, keys each coordinate once
+(field.Kronecker, whose degree caps bound every output), runs a kernel and
+raises NonRealCoefficient where an imaginary part it reports is not zero;
+the kernels are written once over two representations of the keyed
+coordinates.  Where Berkowitz runs on at least 6 rows (n, or 2n for a
+quaternion matrix) and at most two variables occur in d M, each coordinate
+is its Kronecker image, one int, and a dot product is a sum of int products;
+elsewhere the coordinates stay keyed lists, and a dot product adds each term
+product, keyed by the sum of two keys, into one dict per output coordinate.
+The images' width comes from a first run of the same kernel on majorants:
+the coordinates' 1-norms, with every structure-constant sign taken as + and
+negation as the identity, which bound the 1-norm, and so the coefficients,
+of every output.  Field elements are built from the outputs only: the
+charpoly of M by one rescale by powers of d, the inverse by one scalar
+division.  The kernels reach field elements only through
+FunctionField.clear_denominators and FunctionField.polynomial.
 """
 
 from __future__ import annotations
@@ -169,21 +171,18 @@ class MatE:
         """Division-free inverse by the Cayley-Hamilton identity.
 
         With d the lcm of the coordinate denominators, M' = d M has
-        polynomial entries.  For the characteristic polynomial p of M'
-        (the reduced one over F and the quaternions, det(X - M') over
-        F(sqrt(-1))), p(M') = B M' + p_0 I = 0, where B is the Horner tail
-        of p at M'; so M^-1 = -d B / p_0, and M is singular iff p_0 = 0.
-        Everything up to B runs on the cleared polynomials; the end costs
-        one scalar division and one cancellation per non-zero coordinate.
-        Over F(sqrt(-1)), 1/p_0 is conj(p_0)/n_E(p_0).
+        polynomial entries.  For the reduced characteristic polynomial p of
+        M', for every algebra, p(M') = B M' + p_0 I = 0, where B is the
+        Horner tail of p at M'; so M^-1 = -d B / p_0, and M is singular iff
+        p_0 = 0.  Everything up to B runs on the cleared
+        polynomials; the end costs one scalar division and one cancellation
+        per non-zero coordinate.
 
         E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of HermContext;
         other quaternion algebras raise WrongKind (see chi).
         """
-        d, A = _cleared(self)
         spec = self.spec
-        (imaginary, divisor, B), element = _run(spec, A, _inverse_kernel)
-        _require_real(imaginary)
+        d, (divisor, B), element = _run(self, _inverse_kernel)
         divisor = element(divisor[0])
         if divisor.is_zero:
             raise Singular("matrix is not invertible")
@@ -238,11 +237,10 @@ def _chi(A, neg):
 
 
 class _Ring(NamedTuple):
-    """One representation of the coordinates.  dot(u, v, table, init=None,
-    neg=False) is init plus the sum of u_k v_k (minus it if neg) for
-    elements of an algebra whose structure constants, table as in
-    ESpec.products, are +-1; zero and one are the coordinates of 0 and 1,
-    and neg negates a coordinate."""
+    """One representation of the coordinates.  dot(u, v, table, init=None)
+    is init plus the sum of u_k v_k for elements of an algebra whose
+    structure constants, table as in ESpec.products, are +-1; zero and one
+    are the coordinates of 0 and 1, and neg negates a coordinate."""
 
     dot: Callable
     zero: object
@@ -250,7 +248,7 @@ class _Ring(NamedTuple):
     neg: Callable
 
 
-def _dot(u, v, table, init=None, neg=False):
+def _dot(u, v, table, init=None):
     """dot on keyed lists.  Every term product of every coordinate pair goes
     straight into one dict per output coordinate, keyed by the sum of the
     two keys, with the sign of its structure constant: no product
@@ -267,7 +265,7 @@ def _dot(u, v, table, init=None, neg=False):
                 k, sign, _ = row[j]
                 out = acc[k]
                 get = out.get
-                flip = (sign < 0) is not neg
+                flip = sign < 0
                 for e1, c1 in xs:
                     if flip:
                         c1 = -c1
@@ -277,7 +275,7 @@ def _dot(u, v, table, init=None, neg=False):
     return tuple([[(e, c) for e, c in out.items() if c] for out in acc])
 
 
-def _dot_image(u, v, table, init=None, neg=False):
+def _dot_image(u, v, table, init=None):
     """dot on Kronecker images: one int product per pair of non-zero
     coordinates, added or subtracted by the sign of its structure constant."""
     acc = list(init) if init is not None else [0] * len(table)
@@ -289,14 +287,14 @@ def _dot_image(u, v, table, init=None, neg=False):
             for j, b in enumerate(y):
                 if b:
                     k, sign, _ = row[j]
-                    if (sign < 0) is not neg:
+                    if sign < 0:
                         acc[k] -= a * b
                     else:
                         acc[k] += a * b
     return tuple(acc)
 
 
-def _dot_majorant(u, v, table, init=None, neg=False):
+def _dot_majorant(u, v, table, init=None):
     """dot on majorants: _dot_image with every sign taken as +.  Since
     |f + g|_1 <= |f|_1 + |g|_1 and |f g|_1 <= |f|_1 |g|_1, each output
     bounds the 1-norm of dot's output on coordinates whose 1-norms the
@@ -325,22 +323,22 @@ def _charpoly_commutative(A, table, ring) -> list:
     is the lower-triangular Toeplitz matrix with first column 1, -a, -R C,
     -R A1 C, -R A1^2 C, ...  Only ring operations occur, about n^4/4
     products in E, each sum of them one dot, so the coefficients stay
-    polynomials.  t holds the column without its signs, which the dot into
-    p supplies.  The 1 on T's diagonal is never multiplied: p_A1's
-    coefficient starts the sum instead, and p_A1's leading 1 stays p's."""
-    dot = ring.dot
+    polynomials.  With a and R negated once per block, t is T's column
+    itself.  The 1 on T's diagonal is never multiplied: p_A1's coefficient
+    starts the sum instead, and p_A1's leading 1 stays p's."""
+    dot, neg = ring.dot, ring.neg
     n = len(A)
     p = [_scalar(ring.one, ring, len(table))]  # the empty block, leading first
     for k in range(n - 1, -1, -1):
-        row = A[k][k + 1:]
+        row = [tuple(map(neg, x)) for x in A[k][k + 1:]]
         col = [A[i][k] for i in range(k + 1, n)]  # A1^j C, from j = 0
-        t = [None, A[k][k]]
+        t = [None, tuple(map(neg, A[k][k]))]
         for j in range(n - 1 - k):
             if j:
                 col = [dot(A[i][k + 1:], col, table) for i in range(k + 1, n)]
             t.append(dot(row, col, table))
-        # (T p)_i = p_i - sum over j < i of t[i - j] p_j
-        p = p[:1] + [dot(t[i:0:-1], p[:i], table, init=p[i] if i < len(p) else None, neg=True)
+        # (T p)_i = p_i + sum over j < i of t[i - j] p_j
+        p = p[:1] + [dot(t[i:0:-1], p[:i], table, init=p[i] if i < len(p) else None)
                      for i in range(1, len(p) + 1)]
     p.reverse()
     return p
@@ -391,56 +389,39 @@ def _norm_coeffs(q, table, ring) -> list:
 
 
 def _cleared_charpoly(spec: ESpec, A, ring) -> tuple[list, list]:
-    """(p, imaginary parts): p the reduced characteristic polynomial of the
+    """(imaginary parts, p): p the reduced characteristic polynomial of the
     cleared matrix A, as central elements of E, constant first (see
     reduced_charpoly); over the quaternions, p is read off the charpoly of
-    chi(A), whose imaginary parts must vanish (_require_real)."""
+    chi(A), whose imaginary parts must vanish (_run checks them)."""
     table = spec.products
     if spec.kind is EKind.BASE:
-        return _charpoly_commutative(A, table, ring), []
+        return [], _charpoly_commutative(A, table, ring)
     if spec.kind is EKind.COMPLEX:
-        return _norm_coeffs(_charpoly_commutative(A, table, ring), table, ring), []
+        return [], _norm_coeffs(_charpoly_commutative(A, table, ring), table, ring)
     coeffs = _charpoly_commutative(_chi(A, ring.neg), complex_spec(spec.field).products, ring)
-    return [_scalar(c[0], ring, spec.dim) for c in coeffs], [c[1] for c in coeffs]
-
-
-def _require_real(imaginary) -> None:
-    if any(imaginary):
-        raise NonRealCoefficient("coefficient has a nonzero imaginary part")
+    return [c[1] for c in coeffs], [_scalar(c[0], ring, spec.dim) for c in coeffs]
 
 
 def _cayley_hamilton_kernel(spec: ESpec, A, ring) -> tuple:
     """(imaginary parts, p(A)) for A's reduced charpoly p."""
-    p, imaginary = _cleared_charpoly(spec, A, ring)
+    imaginary, p = _cleared_charpoly(spec, A, ring)
     B = _horner_tail(A, p, spec.products, ring)
     return imaginary, _mul_add_scalar(B, list(zip(*A)), p[0], spec.products, ring)
 
 
 def _inverse_kernel(spec: ESpec, A, ring) -> tuple:
-    """(imaginary parts, divisor, B') with A^-1 = -B' / divisor: the
-    divisor is p_0 and B' the Horner tail B of the reduced charpoly p, or
-    over F(sqrt(-1)) n(p_0) and B conj(p_0) for p = det(X - A).  B' is
-    empty when the divisor is 0."""
-    table = spec.products
-    if spec.kind is EKind.COMPLEX:
-        p, imaginary = _charpoly_commutative(A, table, ring), []
-        divisor = _norm_coeffs(p[:1], table, ring)[0]
-    else:
-        p, imaginary = _cleared_charpoly(spec, A, ring)
-        divisor = p[0]
-    if not divisor[0]:
-        return imaginary, divisor, []
-    B = _horner_tail(A, p, table, ring)
-    if spec.kind is EKind.COMPLEX:
-        c = (p[0][0], ring.neg(p[0][1]))
-        B = [[ring.dot((x,), (c,), table) for x in r] for r in B]
-    return imaginary, divisor, B
+    """(imaginary parts, (p_0, B)) with A^-1 = -B / p_0 for A's reduced
+    charpoly p and its Horner tail B; B is empty when p_0 is 0."""
+    imaginary, p = _cleared_charpoly(spec, A, ring)
+    if not p[0][0]:
+        return imaginary, (p[0], [])
+    return imaginary, (p[0], _horner_tail(A, p, spec.products, ring))
 
 
 def _cleared(M: MatE):
     """(d, rows of the term-list elements of d M), d the lcm of the
-    coordinate denominators (FunctionField.clear_denominators).  The one
-    way into the kernels: M must be square, over F, F(sqrt(-1)) or
+    coordinate denominators (FunctionField.clear_denominators), for _run
+    and KeyedMat.cleared alone: M must be square, over F, F(sqrt(-1)) or
     (-1,-1)_F."""
     if not M.is_square:
         raise DimensionMismatch("kernel input is not a square matrix")
@@ -469,7 +450,7 @@ def _caps(spec: ESpec, A):
     largest exponent of x_i in A, every kernel output has degree at most
     deg e_i in x_i, deg the degree of the reduced charpoly: n over F, and
     2n over the quaternions (Berkowitz on chi) and over F(sqrt(-1)), whose
-    norm products and inverse double Berkowitz's n e_i."""
+    norm products double Berkowitz's n e_i."""
     n = len(A)
     e = spec.field.largest_exponents([c for r in A for x in r for c in x])
     deg = n if spec.kind is EKind.BASE else 2 * n
@@ -478,11 +459,13 @@ def _caps(spec: ESpec, A):
     return [deg * a for a in e], images
 
 
-def _run(spec: ESpec, A, kernel):
-    """(kernel(spec, A, ring), element) for the cleared matrix A, with
-    element turning one output coordinate into a field element: A's
-    coordinates are keyed once, and the kernel runs on the keyed lists or,
-    where _caps chooses them, on their Kronecker images.
+def _run(M: MatE, kernel):
+    """(d, value, element) for kernel(spec, A, ring) = (imaginary parts,
+    value) on A = d M (_cleared), with element turning one output
+    coordinate into a field element: A's coordinates are keyed once, and
+    the kernel runs on the keyed lists or, where _caps chooses them, on
+    their Kronecker images.  NonRealCoefficient is raised if an imaginary
+    part is not zero.
 
     A kernel returns exactly the values that are read back or tested for
     zero, and these lie within the caps.  The images' width comes from a
@@ -490,15 +473,21 @@ def _run(spec: ESpec, A, kernel):
     each of its outputs bounds the 1-norm of the matching output, and so
     each of its coefficients, and a sign bit above the largest makes every
     output decode."""
+    d, A = _cleared(M)
+    spec = M.spec
     F = spec.field
     caps, images = _caps(spec, A)
     K = Kronecker(caps)
     A = _map_coords(A, K.pack)
-    if not images:
-        return kernel(spec, A, _KEYED), lambda v: F.polynomial(K.unpack(v))
-    width = _largest(kernel(spec, _map_coords(A, _norm1), _MAJORANT)).bit_length() + 1
-    A = _map_coords(A, lambda keyed: K.image(keyed, width))
-    return kernel(spec, A, _IMAGE), lambda v: F.polynomial(K.unpack(K.split(v, width)))
+    ring, to_keyed = _KEYED, lambda v: v
+    if images:
+        width = _largest(kernel(spec, _map_coords(A, _norm1), _MAJORANT)).bit_length() + 1
+        A = _map_coords(A, lambda keyed: K.image(keyed, width))
+        ring, to_keyed = _IMAGE, lambda v: K.split(v, width)
+    imaginary, value = kernel(spec, A, ring)
+    if any(imaginary):
+        raise NonRealCoefficient("coefficient has a nonzero imaginary part")
+    return d, value, lambda v: F.polynomial(K.unpack(to_keyed(v)))
 
 
 def _norm1(terms) -> int:
@@ -529,10 +518,8 @@ def reduced_charpoly(M: MatE) -> PolyX:
     only; its coefficient of X^k is d^(deg-k) p_k, so the rescale at the end
     is one product per coefficient, and none when d = 1.
     """
-    d, A = _cleared(M)
     F = M.spec.field
-    (p, imaginary), element = _run(M.spec, A, _cleared_charpoly)
-    _require_real(imaginary)
+    d, p, element = _run(M, _cleared_charpoly)
     coeffs = [element(c[0]) for c in p]
     if d is not F.one:
         inv = d ** -1
@@ -560,9 +547,8 @@ def is_right_eigenvalue(M: MatE, lam: EElement) -> bool:
     spec = M.spec
     F = spec.field
     if spec.kind is EKind.COMPLEX:
-        d, A = _cleared(M)
-        q, element = _run(spec, A, lambda spec, A, ring: _charpoly_commutative(
-            A, spec.products, ring))
+        d, q, element = _run(M, lambda spec, A, ring: ([], _charpoly_commutative(
+            A, spec.products, ring)))
         x = lam.scale(d)
         acc = spec.zero()
         for c in reversed(q):
@@ -580,9 +566,7 @@ def cayley_hamilton_check(M: MatE) -> bool:
 
     Checked as p'(d M) = 0 on the cleared matrix d M, with p' its own
     reduced charpoly, which holds iff p(M) = 0 (p'(X) = d^deg p(X / d))."""
-    _, A = _cleared(M)
-    (imaginary, pA), _ = _run(M.spec, A, _cayley_hamilton_kernel)
-    _require_real(imaginary)
+    _, pA, _ = _run(M, _cayley_hamilton_kernel)
     return not any(any(x) for r in pA for x in r)
 
 
@@ -666,6 +650,13 @@ class KeyedMat:
     @property
     def is_zero(self) -> bool:
         return not any(any(x) for r in self.rows for x in r)
+
+    def least_exponents(self) -> list:
+        """Rows of each entry's least exponent vector over its coordinates,
+        that of its smallest key, and None for a zero entry."""
+        exponents = self.spec.field.laurent.exponents
+        return [[exponents(min([min(c)[0] for c in x if c])) if any(x) else None for x in r]
+                for r in self.rows]
 
     def is_hermitian(self) -> bool:
         rows, neg = self.rows, _KEYED.neg

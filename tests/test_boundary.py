@@ -102,17 +102,20 @@ def _name(node):
 
 def test_only_matrices_and_field_handle_keys_and_reach():
     """The Laurent frame has one door, KeyedMat.of_terms and KeyedMat.cleared,
-    which pack the keys and set the reach.  Outside field.py and matrices.py
-    no module packs with a field's laurent.pack, calls Laurent.check, reads
-    or passes a reach, or calls KeyedMat(...) itself."""
+    which pack the keys and set the reach, and KeyedMat reads its entries'
+    exponents itself.  Outside field.py and matrices.py no module packs,
+    decodes or signs a key with a field's laurent.pack, laurent.exponents or
+    laurent.sign_at, calls Laurent.check, reads or passes a reach, or calls
+    KeyedMat(...) itself."""
     found = []
     for name, tree in parsed_modules().items():
         if name in ("field.py", "matrices.py"):
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
-                if (node.attr, _name(node.value)) in (("pack", "laurent"), ("check", "Laurent"),
-                                                      ("check", "laurent")):
+                if (node.attr, _name(node.value)) in (
+                        ("pack", "laurent"), ("exponents", "laurent"), ("sign_at", "laurent"),
+                        ("check", "Laurent"), ("check", "laurent")):
                     found.append((name, node.lineno, f"{_name(node.value)}.{node.attr}"))
                 elif node.attr == "reach":
                     found.append((name, node.lineno, "reach"))
@@ -121,6 +124,27 @@ def test_only_matrices_and_field_handle_keys_and_reach():
             elif isinstance(node, ast.Call) and _name(node.func) == "KeyedMat":
                 found.append((name, node.lineno, "KeyedMat()"))
     assert found == []
+
+
+def test_one_way_into_the_kernels():
+    """Inside matrices.py the division-free kernels are entered through _run
+    alone: only _run clears a matrix for them (_cleared) and picks their
+    representation (_caps); KeyedMat.cleared is the Laurent frame's door.
+    Every use of either name is counted, a call or a reference, by the
+    function around it."""
+    users = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id in ("_cleared", "_caps"):
+                users.setdefault(child.id, set()).add(scope)
+            visit(child, scope)
+
+    visit(parsed_modules()["matrices.py"], "")
+    assert users == {"_cleared": {"_run", "KeyedMat.cleared"}, "_caps": {"_run"}}
 
 
 def test_every_imported_name_is_used():

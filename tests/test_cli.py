@@ -65,7 +65,7 @@ class TestConfig:
         doc = dict(BASE_DOC, algebra={"variant": "matrix", "kind": "base", "form": ["1", "z"]})
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
-        assert err.value.location == "algebra"
+        assert err.value.location == "algebra.form[1]"
 
     def test_bad_ordering_length(self):
         doc = dict(BASE_DOC, ordering=[1])
@@ -108,17 +108,19 @@ class TestMalformedConfig:
             ({"ordering": ["1", 1]}, "ordering", "each -1 or 1"),
             ({"algebra": {"variant": "matrix", "kind": ["base"], "form": ["1", "x"]}},
              "algebra.kind", "unknown coefficient kind"),
-            ({"algebra": {"variant": "matrix", "form": ["1", ""]}}, "algebra",
+            ({"algebra": {"variant": "matrix", "form": ["1", ""]}}, "algebra.form[1]",
              "unexpected end of expression (at position 0)"),
+            ({"algebra": {"variant": "matrix", "form": ["1", "x", "x^100^1"]}},
+             "algebra.form[2]", "unexpected token '^' (at position 5)"),
             ({"algebra": {"variant": "matrix", "form": ["1", "0"]}}, "algebra",
              "form entries must be invertible"),
             ({"algebra": {"variant": "matrix", "form": ["1", "(" * 400 + "x" + ")" * 400]}},
-             "algebra", f"nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"),
+             "algebra.form[1]", f"nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"),
             ({"algebra": {"variant": "matrix",
                           "form": ["1", "x + " + "1" * (sys.get_int_max_str_digits() + 1)]}},
-             "algebra", "integer literal has more than"),
+             "algebra.form[1]", "integer literal has more than"),
             ({"algebra": {"variant": "matrix", "form": ["1", "7" * 3000 + "*" + "7" * 3000 + "*x"]}},
-             "algebra", "product could have a coefficient of more than"),
+             "algebra.form[1]", "product could have a coefficient of more than"),
             ({"algebra": {"variant": "quatdiv", "a": "0", "b": "y"}}, "algebra",
              "quaternion parameters must be nonzero"),
             # trace_form prints e_1/e_2 = N M x, and 2ab over (a,b)_F
@@ -131,7 +133,7 @@ class TestMalformedConfig:
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
-             "kind-list", "form-entry-empty", "form-entry-zero", "form-entry-nested",
+             "kind-list", "form-entry-empty", "form-third-entry-bad", "form-entry-zero", "form-entry-nested",
              "form-entry-long-literal", "form-entry-long-product", "quatdiv-a-zero",
              "form-entries-long-quotient", "quatdiv-long-product"],
     )
@@ -189,7 +191,7 @@ class TestExponentBound:
                                       "form": ["1", "x^1000000000"]})
         assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert "configuration error: algebra: exponent exceeds" in err
+        assert "configuration error: algebra.form[1]: exponent exceeds" in err
         assert "(at position 2)" in err
         assert "Traceback" not in err
         assert powers == []
@@ -204,7 +206,7 @@ class TestExponentBound:
                             "form": ["1", f"({'+'.join(wide)})^100"]})
         assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert f"configuration error: algebra: power would have more than {MAX_TERMS}" in err
+        assert f"configuration error: algebra.form[1]: power would have more than {MAX_TERMS}" in err
         assert "Traceback" not in err
         assert powers == []
 

@@ -30,6 +30,7 @@ from gaugecones.matrices import (
     DimensionMismatch,
     KeyedMat,
     MatE,
+    NonRealCoefficient,
     NotHermitian,
     Singular,
     WrongKind,
@@ -40,7 +41,7 @@ from gaugecones.matrices import (
     psd_at,
     reduced_charpoly,
 )
-from gaugecones.matrices import _caps, _cleared
+from gaugecones.matrices import _caps, _cleared, _run
 from gaugecones.gauges import GaugeContext
 from gaugecones.cones import check_prepositive_axioms, compatibility_suite
 
@@ -686,6 +687,25 @@ class TestReducedCharpoly:
             for n in (1, 2, 3):
                 for M in (random_mat(spec, n, rng), random_rational_mat(spec, n, rng)):
                     assert reduced_charpoly(M) == reference_reduced_charpoly(M)
+
+
+class TestRun:
+    def test_nonzero_imaginary_part_raises(self, F2):
+        """_run raises NonRealCoefficient when its kernel's final run reports
+        a non-zero imaginary part, on keyed lists (a 1 x 1 base matrix) and
+        on Kronecker images (a 3 x 3 Hamilton matrix over x, y)."""
+        def stub(spec, A, ring):
+            return [ring.one], ring.one
+
+        B, H = base_spec(F2), hamilton_spec(F2)
+        x, y = F2.vars()
+        keyed = MatE(B, [[B.scalar(x)]])
+        images = MatE(H, [[H.scalar(x if i == j else y) for j in range(3)] for i in range(3)])
+        assert not _caps(B, _cleared(keyed)[1])[1]
+        assert _caps(H, _cleared(images)[1])[1]
+        for M in (keyed, images):
+            with pytest.raises(NonRealCoefficient):
+                _run(M, stub)
 
 
 def monic_first_newton(p):
