@@ -174,9 +174,9 @@ class MatE:
         polynomial entries.  For the reduced characteristic polynomial p of
         M', for every algebra, p(M') = B M' + p_0 I = 0, where B is the
         Horner tail of p at M'; so M^-1 = -d B / p_0, and M is singular iff
-        p_0 = 0.  Everything up to B runs on the cleared
-        polynomials; the end costs one scalar division and one cancellation
-        per non-zero coordinate.
+        p_0 = 0.  Everything up to B runs on the cleared polynomials; the
+        end costs one scalar division and one cancellation per non-zero
+        coordinate.
 
         E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of HermContext;
         other quaternion algebras raise WrongKind (see chi).
@@ -413,9 +413,7 @@ def _inverse_kernel(spec: ESpec, A, ring) -> tuple:
     """(imaginary parts, (p_0, B)) with A^-1 = -B / p_0 for A's reduced
     charpoly p and its Horner tail B; B is empty when p_0 is 0."""
     imaginary, p = _cleared_charpoly(spec, A, ring)
-    if not p[0][0]:
-        return imaginary, (p[0], [])
-    return imaginary, (p[0], _horner_tail(A, p, spec.products, ring))
+    return imaginary, (p[0], _horner_tail(A, p, spec.products, ring) if p[0][0] else [])
 
 
 def _cleared(M: MatE):

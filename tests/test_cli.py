@@ -133,9 +133,9 @@ class TestMalformedConfig:
              "form-entry-int", "seed-string", "sampleCount-float", "sampleCount-negative",
              "sampleCount-zero", "sampleCount-above-bound", "analyses-string",
              "ordering-null", "ordering-float", "ordering-bool", "ordering-string",
-             "kind-list", "form-entry-empty", "form-third-entry-bad", "form-entry-zero", "form-entry-nested",
-             "form-entry-long-literal", "form-entry-long-product", "quatdiv-a-zero",
-             "form-entries-long-quotient", "quatdiv-long-product"],
+             "kind-list", "form-entry-empty", "form-third-entry-bad", "form-entry-zero",
+             "form-entry-nested", "form-entry-long-literal", "form-entry-long-product",
+             "quatdiv-a-zero", "form-entries-long-quotient", "quatdiv-long-product"],
     )
     def test_exits_2_naming_the_location(self, tmp_path, capsys, patch, location, message):
         self.check_exit_2(tmp_path, capsys, dict(BASE_DOC, **patch), location, message)
@@ -206,7 +206,8 @@ class TestExponentBound:
                             "form": ["1", f"({'+'.join(wide)})^100"]})
         assert main(["run", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err
-        assert f"configuration error: algebra.form[1]: power would have more than {MAX_TERMS}" in err
+        assert ("configuration error: algebra.form[1]: "
+                f"power would have more than {MAX_TERMS}") in err
         assert "Traceback" not in err
         assert powers == []
 
