@@ -31,8 +31,9 @@ The images' width comes from a first run of the same kernel on majorants:
 the coordinates' 1-norms, with every structure-constant sign taken as + and
 negation as the identity, which bound the 1-norm, and so the coefficients,
 of every output.  Field elements are built from the outputs only: the
-charpoly of M by one rescale by powers of d, the inverse by one scalar
-division.  The kernels reach field elements only through
+charpoly of M by one rescale by powers of d, the inverse, whose kernel
+runs on M with each row cleared by its own lcm, by one division per
+coordinate.  The kernels reach field elements only through
 FunctionField.clear_denominators and FunctionField.polynomial.
 """
 
@@ -168,27 +169,39 @@ class MatE:
         return self.is_square and self == self.bar_transpose()
 
     def inverse(self) -> "MatE":
-        """Division-free inverse by the Cayley-Hamilton identity.
+        """Division-free inverse by the Cayley-Hamilton identity, on the
+        matrix with each row cleared by its own lcm.
 
-        With d the lcm of the coordinate denominators, M' = d M has
-        polynomial entries.  For the reduced characteristic polynomial p of
-        M', for every algebra, p(M') = B M' + p_0 I = 0, where B is the
-        Horner tail of p at M'; so M^-1 = -d B / p_0, and M is singular iff
-        p_0 = 0.  Everything up to B runs on the cleared polynomials; the
-        end costs one scalar division and one cancellation per non-zero
-        coordinate.
+        With D = diag(d_i), d_i the lcm of row i's coordinate denominators
+        (FunctionField.clear_denominators), M' = D M has polynomial
+        entries.  For the reduced characteristic polynomial p of M', for
+        every algebra, p(M') = B M' + p_0 I = 0, where B is the Horner tail
+        of p at M'; so M^-1 = M'^-1 D = -B D / p_0, and M is singular iff
+        p_0 = 0.  Everything up to B runs on the cleared polynomials;
+        coordinate (i, j) is b_ij (-d_j), a product of polynomials without
+        a gcd, over p_0, its one cancellation.  Row by row, p_0 carries the
+        product of the d_i^(deg/n), deg the degree of p, not the d^deg of one
+        lcm d for the whole matrix.
 
         E must be F, F(sqrt(-1)) or (-1,-1)_F, the algebras of HermContext;
-        other quaternion algebras raise WrongKind (see chi).
+        other quaternion algebras raise WrongKind (see chi), and a non-square
+        M DimensionMismatch, both before any row is cleared.
         """
         spec = self.spec
-        d, (divisor, B), element = _run(self, _inverse_kernel)
-        divisor = element(divisor[0])
-        if divisor.is_zero:
+        F = spec.field
+        _check_kernel_input(self)
+        scales, rows = [], []
+        for r in self.rows:
+            d, flat = F.clear_denominators([c for q in r for c in q.coords])
+            scales.append(-d)
+            rows.append([EElement(spec, q)
+                         for q in zip(*[iter(map(F.polynomial, flat))] * spec.dim)])
+        _, (p0, B), element = _run(MatE(spec, rows), _inverse_kernel)
+        p0 = element(p0[0])
+        if p0.is_zero:
             raise Singular("matrix is not invertible")
-        B = MatE(spec, [[EElement(spec, tuple([element(c) for c in x])) for x in r]
-                        for r in B])
-        return B.scale(-d / divisor)
+        return MatE(spec, [[EElement(spec, tuple([element(c) * s / p0 for c in x]))
+                            for x, s in zip(r, scales)] for r in B])
 
     def __eq__(self, other):
         if not isinstance(other, MatE):
@@ -416,15 +429,20 @@ def _inverse_kernel(spec: ESpec, A, ring) -> tuple:
     return imaginary, (p[0], _horner_tail(A, p, spec.products, ring) if p[0][0] else [])
 
 
+def _check_kernel_input(M: MatE) -> None:
+    """Raise unless M is square and over F, F(sqrt(-1)) or (-1,-1)_F."""
+    if not M.is_square:
+        raise DimensionMismatch("kernel input is not a square matrix")
+    if M.spec.kind is EKind.QUAT and not M.spec.hamilton:
+        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
+
+
 def _cleared(M: MatE):
     """(d, rows of the term-list elements of d M), d the lcm of the
     coordinate denominators (FunctionField.clear_denominators), for _run
     and KeyedMat.cleared alone: M must be square, over F, F(sqrt(-1)) or
     (-1,-1)_F."""
-    if not M.is_square:
-        raise DimensionMismatch("kernel input is not a square matrix")
-    if M.spec.kind is EKind.QUAT and not M.spec.hamilton:
-        raise WrongKind("complex embedding needs entries in (-1,-1)_F")
+    _check_kernel_input(M)
     d, flat = M.spec.field.clear_denominators([c for r in M.rows for q in r for c in q.coords])
     elems = list(zip(*[iter(flat)] * M.spec.dim))
     m = M.m

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaugecones import cli
 from gaugecones.field import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, FieldError, RatFunc
@@ -210,6 +211,92 @@ class TestExponentBound:
                 f"power would have more than {MAX_TERMS}") in err
         assert "Traceback" not in err
         assert powers == []
+
+
+# The configuration fuzz gate: documents drawn from a small grammar, valid
+# ones and ones with one schema entry replaced or removed, whose expression
+# strings nest, carry literals past the digit bound and stray tokens.
+FUZZ_VARS = [[], ["x"], ["x", "y"]]
+LONG_LITERAL = "7" * (sys.get_int_max_str_digits() + 1)
+EXPONENTS = ["0", "1", "2", str(MAX_EXPONENT), str(MAX_EXPONENT + 1), "-1", "9" * 12]
+STRAY_TOKENS = [")", "(", "^", "**", "*", "/", "+", "$", ".", "1.5", "x y", "\u00e9", ",", "\t"]
+JUNK = [None, True, 2.5, -4, 0, 10 ** 30, "", "ALL", "x", [], [None], [1, -1], ["x", "x"],
+        ["\u00e9"], {"a": 1}, ["gauge"], "gauge"]
+MISSING = object()
+
+
+def tame_expressions(names):
+    """Sums and products of the variables and small constants."""
+    atoms = st.sampled_from(names + ["1", "-2", "1/3"])
+    return st.recursive(atoms, lambda inner: st.builds(
+        "{}{}{}".format, inner, st.sampled_from(["+", "*"]), inner), max_leaves=3)
+
+
+def wild_expressions(names):
+    """Expression trees with powers, deep nesting, long literals, unknown
+    names and a stray token anywhere."""
+    atoms = st.sampled_from(names + ["0", "1", "-2", "1/3", "z", LONG_LITERAL])
+    powers = st.builds("{}^{}".format, atoms, st.sampled_from(EXPONENTS))
+    tree = st.recursive(atoms | powers, lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", "/"]), inner),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner)), max_leaves=6)
+    nested = st.builds(lambda k, e: "(" * k + e + ")" * k,
+                       st.integers(MAX_NESTING - 2, 4 * MAX_NESTING), atoms)
+    stray = st.builds(lambda e, token, i: e[:i] + token + e[i:],
+                      tree, st.sampled_from(STRAY_TOKENS), st.integers(0, 30))
+    return st.one_of(tree, nested, stray)
+
+
+@st.composite
+def valid_configs(draw):
+    names = draw(st.sampled_from(FUZZ_VARS))
+    expr = tame_expressions(names)
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["base", "complex", "hamilton"]))
+        algebra = {"variant": "matrix", "kind": kind,
+                   "form": draw(st.lists(expr, min_size=1, max_size=3))}
+    else:
+        algebra = {"variant": "quatdiv", "a": draw(expr), "b": draw(expr),
+                   "involution": draw(st.sampled_from(["gamma", "int_i_gamma"]))}
+    ordering = draw(st.just("ALL") | st.lists(st.sampled_from([-1, 1]),
+                                                min_size=len(names), max_size=len(names)))
+    return {"vars": names, "algebra": algebra, "ordering": ordering,
+            "analyses": draw(st.lists(st.sampled_from(cli.ANALYSES), unique=True, max_size=4)),
+            "seed": draw(st.integers(-2 ** 70, 2 ** 70)), "sampleCount": 1}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A valid config, or one with one schema entry replaced by junk, by a
+    wild expression where the entry is an expression, or removed."""
+    doc = draw(valid_configs())
+    if draw(st.integers(0, 3)) == 0:
+        return doc
+    algebra = doc["algebra"]
+    entries = [(doc, k) for k in doc] + [(algebra, k) for k in algebra]
+    entries += [(algebra["form"], i) for i in range(len(algebra.get("form", [])))]
+    parent, key = draw(st.sampled_from(entries))
+    values = st.sampled_from(JUNK + [MISSING])
+    if isinstance(parent[key], str):
+        values |= wild_expressions(doc["vars"])
+    value = draw(values)
+    if value is MISSING:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=fuzz_configs())
+    def test_exits_0_1_or_2_without_escaping(self, tmp_path, capsys, doc):
+        """Any drawn config ends in exit code 0, 1 or 2, with no exception
+        escaping main; --samples 1 also covers a removed sampleCount."""
+        assert main(["run", write_config(tmp_path, doc), "--samples", "1"]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestWideField:

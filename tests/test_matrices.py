@@ -41,7 +41,7 @@ from gaugecones.matrices import (
     psd_at,
     reduced_charpoly,
 )
-from gaugecones.matrices import _caps, _cleared, _run
+from gaugecones.matrices import _caps, _cleared, _inverse_kernel, _run
 from gaugecones.gauges import GaugeContext
 from gaugecones.cones import check_prepositive_axioms, compatibility_suite
 
@@ -247,6 +247,19 @@ def oracle_inverse(M):
     return B.scale(-d / divisor)
 
 
+def uniform_cleared_inverse(M):
+    """MatE.inverse as it ran with one lcm d for the whole matrix: -d B / p_0
+    for the reduced charpoly p of d M and its Horner tail B (_run), one
+    product with the scalar -d / p_0 per coordinate."""
+    d, (divisor, B), element = _run(M, _inverse_kernel)
+    divisor = element(divisor[0])
+    if divisor.is_zero:
+        raise Singular("matrix is not invertible")
+    B = MatE(M.spec, [[EElement(M.spec, tuple([element(c) for c in x])) for x in r]
+                      for r in B])
+    return B.scale(-d / divisor)
+
+
 ORACLE_F = FunctionField(["x", "y"])
 ORACLE_SPECS = (base_spec(ORACLE_F), complex_spec(ORACLE_F), hamilton_spec(ORACLE_F))
 
@@ -335,6 +348,36 @@ def kernel_matrices(draw):
     rows = [[EElement(spec, tuple(coord(i == j and t == 0) for t in range(spec.dim)))
              for j in range(n)] for i in range(n)]
     if shape == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [spec.zero()] * n
+    return MatE(spec, rows)
+
+
+# non-monomial denominators, one per row, so that the rows' lcms differ
+ROW_DENOMINATORS = [ORACLE_F.parse(s) for s in ("1 + x", "2 - y", "x - 2*y", "x + y + 1")]
+
+
+@st.composite
+def row_denominator_matrices(draw):
+    """n <= 3 over F, F(sqrt(-1)) or (-1,-1)_F whose row i is divided by
+    its own non-monomial denominator, drawn without repetition; a row's
+    coordinates are polynomial monomials, some of them over the row's
+    denominator, about two non-zero ones besides the real part of the
+    diagonal; sometimes with a zero row."""
+    spec = draw(st.sampled_from(ORACLE_SPECS))
+    F = spec.field
+    n = draw(st.integers(1, 3))
+    dens = draw(st.permutations(ROW_DENOMINATORS))[:n]
+    sparsity = max(2, n * spec.dim // 2)
+
+    def coord(i, diagonal_real):
+        if not diagonal_real and draw(st.integers(1, sparsity)) > 1:
+            return F.zero
+        c = draw(st.sampled_from(ORACLE_MONOMIALS[0]))
+        return c / dens[i] if diagonal_real or draw(st.booleans()) else c
+
+    rows = [[EElement(spec, tuple(coord(i, i == j and t == 0) for t in range(spec.dim)))
+             for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
         rows[draw(st.integers(0, n - 1))] = [spec.zero()] * n
     return MatE(spec, rows)
 
@@ -511,6 +554,36 @@ class TestMatE:
                 M.inverse()
             return
         assert M.inverse() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=row_denominator_matrices())
+    def test_row_cleared_inverse_matches_oracles(self, M):
+        """The inverse through the rows cleared one by one against the
+        inverse through one lcm for the whole matrix, and against
+        Gauss-Jordan up to 2 x 2: on three rows over three denominators its
+        sums of fractions can take seconds a matrix."""
+        oracles = [uniform_cleared_inverse]
+        if M.n < 3:
+            oracles.append(gauss_jordan_inverse)
+        try:
+            expected = [f(M) for f in oracles]
+        except Singular:
+            for f in [MatE.inverse] + oracles:
+                with pytest.raises(Singular):
+                    f(M)
+            return
+        assert all(M.inverse() == e for e in expected)
+
+    def test_errors_before_any_row_is_cleared(self, F2, monkeypatch):
+        def refuse(self, cs):
+            raise AssertionError("a row was cleared")
+
+        monkeypatch.setattr(FunctionField, "clear_denominators", refuse)
+        with pytest.raises(DimensionMismatch):
+            MatE.zeros(hamilton_spec(F2), 2, 3).inverse()
+        spec = quat_spec(F2, F2.from_fraction(2), F2.from_fraction(3))
+        with pytest.raises(WrongKind):
+            MatE(spec, [[spec.basis()[1]]]).inverse()
 
     def test_inverse_rational_3x3(self, F2):
         """3 x 3 matrices with a rational entry, five of which took
